@@ -19,13 +19,12 @@ bit for bit.  Hull tables for RHM curves must therefore be built for
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import oracle_risk, project, squared_loss
-from .hull import HullTable, penalty_ratio
+from .hull import HullTable, atomic_write_text, penalty_ratio
 from .selectors import Selector, rhm_selector, ure_selector
 from .sequence_model import (
     SigmaSpec,
@@ -210,14 +209,6 @@ def ratio_curve(spec: SigmaSpec, hull: HullTable, alpha: float, N_range) -> list
 # ---------------------------------------------------------------------------
 # Output files
 # ---------------------------------------------------------------------------
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so failures never leave partial files behind."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _fmt(x: float) -> str:

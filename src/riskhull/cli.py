@@ -13,8 +13,9 @@ manifest with the fully resolved config, seeds and versions, which is
 enough to reproduce its outputs bit for bit.  ``--threads`` only bounds
 hull-construction workers and never changes any output byte.
 
-Exit codes: 0 success, 2 config or input error, 3 I/O or stale/corrupt
-cache, 4 hull table required but not available.
+Exit codes: 0 success, 2 config or input error (a refused memory
+allocation included), 3 I/O or stale/corrupt cache, 4 hull table
+required but not available.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .bench import (
     DEFAULT_ALPHA,
     DEFAULT_REPS,
     STEM_REPS,
-    atomic_write_text,
     default_a_grid,
     default_n_max,
     efficiency_curve,
@@ -50,6 +50,7 @@ from .hull import (
     HullCacheError,
     HullTable,
     McParams,
+    atomic_write_text,
     build_hull_table,
     load_hull_table,
     save_hull_table,
@@ -206,10 +207,6 @@ class RunConfig:
 
         out = doc.get("output") or {}
         self.out_dir = overrides.get("out") or _get(out, "directory", "output", str, default="out")
-        formats = out.get("formats", ["csv", "json"])
-        if any(f not in ("csv", "json") for f in formats):
-            raise ConfigError(f"output.formats: only 'csv' and 'json' are supported, got {formats}")
-        self.formats = tuple(formats)
 
     def echo(self) -> dict:
         """Resolved config for the manifest (reproduces the run exactly)."""
@@ -236,7 +233,7 @@ class RunConfig:
                 if self.hull_present
                 else None
             ),
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
+            "output": {"directory": self.out_dir},
         }
 
 
@@ -290,7 +287,13 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec, n_max: int,
                 f"spec (stale cache); rerun with --rebuild to replace it"
             )
         return table, path, True
-    table = build_hull_table(spec, n_max, cfg.mc, threads=threads)
+    try:
+        table = build_hull_table(spec, n_max, cfg.mc, threads=threads)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"hull: cannot allocate the {n_max} x {cfg.mc.samples} float32 path matrix "
+            f"({n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
+        ) from exc
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     save_hull_table(table, spec, path)
     return table, path, False
@@ -307,7 +310,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
               hull_fp: str | None) -> dict:
     return {
-        "format": "riskhull-manifest-v1",
+        "format": "riskhull-manifest-v2",
         "command": command,
         "config": cfg.echo(),
         "hull_fingerprint": hull_fp,
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
         if args.command == "select":
             return cmd_select(cfg, args.data, args.rebuild, args.threads)
         return cmd_bench(cfg, args.rebuild, args.threads)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HullMissingError as exc:

@@ -15,8 +15,11 @@ infimum is found by a single suffix-sum scan of the sorted samples.
 
 All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
-Sampling happens in fixed-size blocks with per-block Philox streams, so
-tables are bit-identical for a given seed under any worker count.
+Every sampler here is a row selection of that one coupled path matrix:
+a single block kernel draws it in fixed-size blocks with per-block
+Philox streams, so each eta_N sample is the same number whichever
+sampler asks for it, and tables are bit-identical for a given seed
+under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1).  Scaling every sigma by c then leaves
@@ -62,6 +65,7 @@ __all__ = [
     "penalty_ratio",
     "save_hull_table",
     "load_hull_table",
+    "atomic_write_text",
 ]
 
 MIN_SAMPLES = 10_000
@@ -136,48 +140,32 @@ def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
     return sigma_values(unit_spec(spec), N) ** 2
 
 
-def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1) -> np.ndarray:
-    """(N_max, samples) float32 of normalized cumulative eta paths.
+def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
+                threads: int = 1) -> np.ndarray:
+    """Rows ``rows`` of the (N_max, samples) float32 normalized eta path matrix.
 
-    Block b of at most ``_SAMPLE_BLOCK`` replications is generated from
-    the Philox stream (mc.seed, b); results are written into disjoint
-    slices, so the output is independent of the executor schedule.
+    Row N-1 holds the cumulative eta_N samples.  ``rows`` indexes that
+    axis like numpy does: an int gives shape (samples,), a slice or an
+    index array gives (len, samples).  Block b of at most
+    ``_SAMPLE_BLOCK`` replications is generated from the Philox stream
+    (mc.seed, b) and its selected rows are written into a disjoint slice
+    of the output, so the result is independent of the executor schedule.
     """
     w32 = _norm_weights(spec, N_max).astype(np.float32)[:, None]
-    out = np.empty((N_max, mc.samples), dtype=np.float32)
-    blocks = [(b, start, min(_SAMPLE_BLOCK, mc.samples - start))
-              for b, start in enumerate(range(0, mc.samples, _SAMPLE_BLOCK))]
+    out = np.empty(np.arange(N_max)[rows].shape + (mc.samples,), dtype=np.float32)
+    starts = range(0, mc.samples, _SAMPLE_BLOCK)
 
-    def fill(job) -> None:
-        b, start, n = job
+    def fill(b: int, start: int) -> None:
+        n = min(_SAMPLE_BLOCK, mc.samples - start)
         x = rng_for(mc.seed, b).standard_normal((N_max, n), dtype=np.float32)
         np.multiply(x, x, out=x)
         x -= np.float32(1.0)
         x *= w32
         np.add.accumulate(x, axis=0, out=x)
-        out[:, start:start + n] = x
+        out[..., start:start + n] = x[rows]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for job in blocks:
-            fill(job)
-    return out
-
-
-def _last_column(spec: SigmaSpec, N: int, mc: McParams) -> np.ndarray:
-    """Normalized eta_N samples, float64, shape (samples,)."""
-    w32 = _norm_weights(spec, N).astype(np.float32)[:, None]
-    out = np.empty(mc.samples, dtype=np.float64)
-    for b, start in enumerate(range(0, mc.samples, _SAMPLE_BLOCK)):
-        n = min(_SAMPLE_BLOCK, mc.samples - start)
-        x = rng_for(mc.seed, b).standard_normal((N, n), dtype=np.float32)
-        np.multiply(x, x, out=x)
-        x -= np.float32(1.0)
-        x *= w32
-        np.add.accumulate(x, axis=0, out=x)
-        out[start:start + n] = x[N - 1]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(len(starts)), starts))
     return out
 
 
@@ -214,33 +202,21 @@ def eta_samples_at(spec: SigmaSpec, N: int, mc: McParams) -> np.ndarray:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     sigma1_sq = sigma_at(spec, 1) ** 2
-    return sigma1_sq * _last_column(spec, N, mc)
+    return sigma1_sq * _fill_paths(spec, N, mc, N - 1).astype(np.float64)
 
 
 def eta_checkpoint_samples(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
     """eta_N samples at several bandwidths in one pass, shape (len(Ns), samples).
 
-    Uses segment sums between checkpoints, which is much cheaper than a
-    full cumulative matrix when only a handful of bandwidths matter.
+    Row k equals column Ns[k]-1 of :func:`sample_eta_paths` (Ns sorted)
+    exactly, while holding only the requested rows in memory.
     """
     Ns = sorted(int(n) for n in Ns)
     if not Ns or Ns[0] < 1:
         raise ValueError(f"need a nonempty list of bandwidths >= 1, got {Ns}")
-    n_top = Ns[-1]
-    w32 = _norm_weights(spec, n_top).astype(np.float32)[:, None]
-    bounds = np.array([0] + Ns[:-1], dtype=np.intp)
     sigma1_sq = sigma_at(spec, 1) ** 2
-    out = np.empty((len(Ns), mc.samples), dtype=np.float64)
-    for b, start in enumerate(range(0, mc.samples, _SAMPLE_BLOCK)):
-        n = min(_SAMPLE_BLOCK, mc.samples - start)
-        x = rng_for(mc.seed, b).standard_normal((n_top, n), dtype=np.float32)
-        np.multiply(x, x, out=x)
-        x -= np.float32(1.0)
-        x *= w32
-        seg = np.add.reduceat(x, bounds, axis=0)
-        np.add.accumulate(seg, axis=0, out=seg)
-        out[:, start:start + n] = seg
-    return sigma1_sq * out
+    rows = np.array(Ns) - 1
+    return sigma1_sq * _fill_paths(spec, Ns[-1], mc, rows).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +261,7 @@ def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    col = _last_column(spec, N, mc)
+    col = _fill_paths(spec, N, mc, N - 1)
     t_norm, _ = _u0_scan(col, mc.samples)
     return (sigma_at(spec, 1) ** 2) * t_norm
 
@@ -391,8 +367,28 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 _HULL_FORMAT = "riskhull-hull-v1"
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old or the new file whole.
+
+    The text goes to a temporary file with a unique name in the same
+    directory, opened in exclusive mode, which is then renamed over
+    ``path``; concurrent writers therefore never share a temporary file.
+    A plain ``open`` keeps the usual mode bits (``mkstemp`` would give
+    0600).  The temporary file is removed if anything fails.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_hull_table(table: HullTable, spec: SigmaSpec, path) -> None:
-    """Serialize a hull table to JSON, atomically (write then rename)."""
+    """Serialize a hull table to JSON, atomically (see :func:`atomic_write_text`)."""
     if fingerprint(spec) != table.spec_fingerprint:
         raise ValueError("spec does not match the table's fingerprint")
     doc = {
@@ -407,11 +403,7 @@ def save_hull_table(table: HullTable, spec: SigmaSpec, path) -> None:
         "U0": [float(v) for v in table.U0],
         "SigmaFourth": [float(v) for v in table.SigmaFourth],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_write_stem_csv(tmp_path):
     rep, n, loss = lines[1].split(",")
     assert rep == "0" and int(n) == stem.selected_N[0]
     assert float(loss) == stem.normalized_loss[0]
-    assert not (tmp_path / "stem.csv.tmp").exists()
+    assert os.listdir(tmp_path) == ["stem.csv"]
 
 
 def test_write_efficiency_csv(tmp_path):

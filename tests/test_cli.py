@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import riskhull.cli
+import riskhull.hull
 from riskhull import HullTable, SigmaSpec, fingerprint, save_hull_table
 
 
@@ -99,6 +101,19 @@ def test_hull_corrupted_cache_exits_3(tmp_path, run_cli):
 
     rebuilt = run_cli("hull", "--config", cfg, "--rebuild", cwd=tmp_path)
     assert rebuilt.returncode == 0
+
+
+def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(riskhull.hull, "_fill_paths", refuse)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 2
+    # N_max x samples x 4 bytes = 12 x 20000 x 4
+    assert "960,000 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "hull.json").exists()
 
 
 def test_hull_stale_cache_exits_3(tmp_path, run_cli):
@@ -209,7 +224,9 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["format"] == "riskhull-manifest-v2"
     assert manifest["command"] == "bench"
+    assert manifest["config"]["output"] == {"directory": "out"}
     assert manifest["summary"]["ure"]["N_emp"] > 0
     assert manifest["config"]["experiment"]["seed"] == 5
     assert "riskhull" in manifest["versions"]
