@@ -65,6 +65,7 @@ from .bench import (
     default_a_grid,
     default_n_max,
     efficiency_curve,
+    efficiency_curves,
     mc_selector_risk,
     oracle_efficiency,
     ratio_curve,
@@ -86,6 +87,6 @@ __all__ = [
     "Selector", "SelectorResult", "fixed_selector", "penalized_objective",
     "rhm_selector", "select_penalized", "select_rhm", "select_ure", "ure_selector",
     "EfficiencyCurve", "StemData", "default_a_grid", "default_n_max",
-    "efficiency_curve", "mc_selector_risk", "oracle_efficiency", "ratio_curve",
-    "stem_experiment",
+    "efficiency_curve", "efficiency_curves", "mc_selector_risk", "oracle_efficiency",
+    "ratio_curve", "stem_experiment",
 ]

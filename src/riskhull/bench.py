@@ -7,6 +7,15 @@ are reproducible bit for bit and independent of scheduling.  Per-curve
 aggregation uses numpy's pairwise summation on arrays filled by
 replication index, which keeps means order-independent as well.
 
+Replications run in blocks of 64 (``_REP_BLOCK``): the block's draws fill
+the rows of one matrix, and selection, projection and loss are array
+operations over the whole block.  Every selector of a call shares those
+draws, so the URE and RHM curves of one ``efficiency_curves`` call see
+identical observations at half the sampling cost.  The stream layout is
+the one of ``simulate`` per replication, (seed, r) as above, so the
+blocked engine reproduces the per-replication results bit for bit.  The
+block bounds the engine's working set to a few matrices of 64 x n_max.
+
 Efficiency curves are evaluated with the spectrum rescaled to sigma_1 = 1
 and the signal family built at unit noise level.  Bandwidth selection and
 the risk ratio are invariant under a common rescaling of theta and sigma
@@ -19,11 +28,14 @@ bit for bit.  Hull tables for RHM curves must therefore be built for
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import oracle_risk, project, squared_loss
+# project, squared_loss and simulate are not called here; perfbench's tracer
+# looks them up on this module.
+from .estimators import oracle_risk, project, squared_loss  # noqa: F401
 from .hull import HullTable, atomic_write_text, penalty_ratio
 from .selectors import Selector, rhm_selector, ure_selector
 from .sequence_model import (
@@ -31,9 +43,11 @@ from .sequence_model import (
     Signal,
     derive_seed,
     fingerprint,
+    rng_for,
     sigma_at,
+    sigma_values,
     signal_family,
-    simulate,
+    simulate,  # noqa: F401
     spec_to_dict,
     unit_spec,
 )
@@ -45,6 +59,7 @@ __all__ = [
     "mc_selector_risk",
     "oracle_efficiency",
     "efficiency_curve",
+    "efficiency_curves",
     "ratio_curve",
     "default_a_grid",
     "default_n_max",
@@ -58,6 +73,7 @@ __all__ = [
 DEFAULT_REPS = 10_000
 STEM_REPS = 2_000
 DEFAULT_ALPHA = 1.1
+_REP_BLOCK = 64  # replications per engine block; see the module docstring
 
 
 def default_n_max(spec: SigmaSpec) -> int:
@@ -77,19 +93,45 @@ def default_a_grid(num: int = 20, lo: float = 0.5, hi: float = 500.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _replicate(spec: SigmaSpec, signal: Signal, selector: Selector,
-               reps: int, n_max: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication simulate -> select -> project -> loss pipeline."""
+def _replicate(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
+               reps: int, n_max: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Selected bandwidths and squared losses of every selector over ``reps`` draws.
+
+    Row r of a block is the draw that ``simulate(spec, signal, n_max,
+    derive_seed(seed, r))`` makes, and every selector sees the same rows.
+    The loss of a row is ``squared_loss(project(obs, N), signal)`` bit for
+    bit: its terms are summed over a slice of length ``max(N, len(signal))``.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    selected = np.empty(reps, dtype=np.int64)
-    losses = np.empty(reps, dtype=np.float64)
-    for r in range(reps):
-        obs = simulate(spec, signal, n_max, derive_seed(seed, r))
-        res = selector(obs)
-        selected[r] = res.N_selected
-        losses[r] = squared_loss(project(obs, res.N_selected), signal)
-    return selected, losses
+    L = len(signal)
+    width = max(n_max, L)  # a signal longer than n_max adds its tail to every loss
+    theta = signal.padded(width)
+    kept = theta[:n_max]
+    sig = sigma_values(spec, n_max)
+    cols = np.arange(width)
+    out = [(np.empty(reps, dtype=np.int64), np.empty(reps)) for _ in selectors]
+    xi = np.empty((_REP_BLOCK, n_max))
+    resid = np.zeros((_REP_BLOCK, width))
+    for start in range(0, reps, _REP_BLOCK):
+        rows = min(_REP_BLOCK, reps - start)
+        for i in range(rows):
+            xi[i] = rng_for(derive_seed(seed, start + i)).standard_normal(n_max)
+        Y = kept + sig * xi[:rows]
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("observation entries must all be finite")
+        resid[:rows, :n_max] = Y - kept
+        block = slice(start, start + rows)
+        for sel, (selected, losses) in zip(selectors, out):
+            N = sel.select_rows(Y, spec)
+            selected[block] = N
+            # estimate minus truth: y - theta up to N, -theta past it
+            sq = np.where(cols < N[:, None], resid[:rows], -theta) ** 2
+            n = np.maximum(N, L)
+            for k in np.flatnonzero(np.bincount(n)):
+                hit = n == k
+                losses[block][hit] = np.sum(sq[hit, :k], axis=1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +152,7 @@ class StemData:
 def stem_experiment(spec: SigmaSpec, signal: Signal, selector: Selector,
                     reps: int, n_max: int, seed: int) -> StemData:
     """Replicated selection diagnostic: selected bandwidths and losses."""
-    selected, losses = _replicate(spec, signal, selector, reps, n_max, seed)
+    [(selected, losses)] = _replicate(spec, signal, [selector], reps, n_max, seed)
     normalized = losses / sigma_at(spec, 1) ** 2
     return StemData(
         selected_N=selected,
@@ -124,11 +166,20 @@ def stem_experiment(spec: SigmaSpec, signal: Signal, selector: Selector,
 def mc_selector_risk(spec: SigmaSpec, signal: Signal, selector: Selector,
                      reps: int, n_max: int, seed: int) -> tuple[float, float]:
     """Mean squared loss of a selector and its Monte Carlo standard error."""
+    _check_se_reps(reps)
+    [(_, losses)] = _replicate(spec, signal, [selector], reps, n_max, seed)
+    return _mean_se(losses)
+
+
+def _check_se_reps(reps: int) -> None:
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a standard error, got {reps}")
-    _, losses = _replicate(spec, signal, selector, reps, n_max, seed)
+
+
+def _mean_se(losses: np.ndarray) -> tuple[float, float]:
+    """Mean of the losses and its Monte Carlo standard error."""
     mean = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / np.sqrt(reps))
+    se = float(np.std(losses, ddof=1) / np.sqrt(losses.size))
     return mean, se
 
 
@@ -161,6 +212,54 @@ class EfficiencyCurve:
     reps: int
 
 
+def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float, m: float,
+                       reps: int, n_max: int, seed: int, *,
+                       alpha: float = DEFAULT_ALPHA, hull: HullTable | None = None) -> list[EfficiencyCurve]:
+    """Oracle efficiency of each of ``methods`` (URE, RHM) over an amplitude grid.
+
+    Every method is evaluated on the same draws: one engine run per
+    amplitude serves them all.  For ``'rhm'`` pass a hull table built for
+    ``unit_spec(spec)`` covering n_max.
+    """
+    a_grid = np.asarray(a_grid, dtype=np.float64).reshape(-1)
+    if a_grid.size == 0:
+        raise ValueError("a_grid must be nonempty")
+    methods = tuple(methods)
+    uspec = unit_spec(spec)
+    selectors = []
+    for method in methods:
+        if method == "ure":
+            selectors.append(ure_selector(n_max))
+        elif method == "rhm":
+            if hull is None:
+                raise ValueError("rhm needs a hull table built for unit_spec(spec)")
+            if hull.spec_fingerprint != fingerprint(uspec):
+                raise ValueError("hull table was not built for unit_spec(spec) (stale cache)")
+            selectors.append(rhm_selector(hull, alpha, n_max))
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    _check_se_reps(reps)
+
+    shape = (len(selectors), a_grid.size)
+    eff = np.empty(shape)
+    se_eff = np.empty(shape)
+    oN = np.empty(a_grid.size, dtype=np.int64)
+    orisk = np.empty(a_grid.size)
+    for ai, a in enumerate(a_grid):
+        sig = signal_family(float(a), W, m, 1.0, n_max)
+        curve = oracle_risk(sig, uspec, n_max)
+        oN[ai] = curve.argmin_N
+        orisk[ai] = curve.min_value
+        runs = _replicate(uspec, sig, selectors, reps, n_max, derive_seed(seed, ai))
+        for j, (_, losses) in enumerate(runs):
+            mean, se = _mean_se(losses)
+            eff[j, ai] = curve.min_value / mean
+            se_eff[j, ai] = curve.min_value * se / mean**2
+    return [EfficiencyCurve(a_grid=a_grid, efficiency=eff[j], std_error=se_eff[j],
+                            oracle_N=oN, oracle_risk=orisk, method=method, reps=reps)
+            for j, method in enumerate(methods)]
+
+
 def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,
                      reps: int, n_max: int, seed: int, *,
                      alpha: float = DEFAULT_ALPHA, hull: HullTable | None = None) -> EfficiencyCurve:
@@ -170,35 +269,9 @@ def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,
     covering n_max.  All amplitudes share one seed schedule, so curves
     for different methods at the same seed see identical observations.
     """
-    a_grid = np.asarray(a_grid, dtype=np.float64).reshape(-1)
-    if a_grid.size == 0:
-        raise ValueError("a_grid must be nonempty")
-    uspec = unit_spec(spec)
-    if method == "ure":
-        selector: Selector = ure_selector(n_max)
-    elif method == "rhm":
-        if hull is None:
-            raise ValueError("rhm needs a hull table built for unit_spec(spec)")
-        if hull.spec_fingerprint != fingerprint(uspec):
-            raise ValueError("hull table was not built for unit_spec(spec) (stale cache)")
-        selector = rhm_selector(hull, alpha, n_max)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    eff = np.empty(a_grid.size)
-    se_eff = np.empty(a_grid.size)
-    oN = np.empty(a_grid.size, dtype=np.int64)
-    orisk = np.empty(a_grid.size)
-    for ai, a in enumerate(a_grid):
-        sig = signal_family(float(a), W, m, 1.0, n_max)
-        curve = oracle_risk(sig, uspec, n_max)
-        mean, se = mc_selector_risk(uspec, sig, selector, reps, n_max, derive_seed(seed, ai))
-        oN[ai] = curve.argmin_N
-        orisk[ai] = curve.min_value
-        eff[ai] = curve.min_value / mean
-        se_eff[ai] = curve.min_value * se / mean**2
-    return EfficiencyCurve(a_grid=a_grid, efficiency=eff, std_error=se_eff,
-                           oracle_N=oN, oracle_risk=orisk, method=method, reps=reps)
+    [curve] = efficiency_curves(spec, (method,), a_grid, W, m, reps, n_max, seed,
+                                alpha=alpha, hull=hull)
+    return curve
 
 
 def ratio_curve(spec: SigmaSpec, hull: HullTable, alpha: float, N_range) -> list[tuple[int, float, float]]:

@@ -37,7 +37,8 @@ from .bench import (
     STEM_REPS,
     default_a_grid,
     default_n_max,
-    efficiency_curve,
+    efficiency_curve,  # noqa: F401  not called; perfbench's tracer looks it up here
+    efficiency_curves,
     ratio_curve,
     stem_experiment,
     write_efficiency_csv,
@@ -473,11 +474,11 @@ def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
                 raise HullMissingError("rhm efficiency experiment needs a 'hull' config section")
             hull_table, _, _ = hull_read_through(cfg, uspec, cfg.n_max, rebuild, threads)
             hull_fp = hull_table.spec_fingerprint
-        for method in cfg.methods:
-            curve = efficiency_curve(
-                cfg.spec, method, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
-                alpha=cfg.alpha, hull=hull_table if method == "rhm" else None,
-            )
+        curves = efficiency_curves(
+            cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
+            alpha=cfg.alpha, hull=hull_table,
+        )
+        for method, curve in zip(cfg.methods, curves):
             name = f"efficiency_{method}.csv"
             write_efficiency_csv(curve, os.path.join(cfg.out_dir, name))
             outputs.append(name)

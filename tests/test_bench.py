@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,17 +12,26 @@ import pytest
 from riskhull import (
     McParams,
     SigmaSpec,
+    Signal,
     ZERO_SIGNAL,
     build_hull_table,
     derive_seed,
     efficiency_curve,
+    efficiency_curves,
     fixed_selector,
     mc_selector_risk,
     oracle_efficiency,
     oracle_risk,
+    project,
     projection_risk,
     ratio_curve,
+    rhm_selector,
+    select_rhm,
+    select_ure,
+    sigma_at,
     signal_family,
+    simulate,
+    squared_loss,
     stem_experiment,
     unit_spec,
     ure_selector,
@@ -32,6 +44,7 @@ from riskhull.bench import (
     write_ratio_csv,
     write_stem_csv,
 )
+from riskhull.cli import main as cli_main
 
 FLAT = SigmaSpec.power_law(1.0, 0.0)
 INV = SigmaSpec.power_law(1.0, 1.0)
@@ -165,6 +178,116 @@ def test_efficiency_curve_methods_share_observations(unit_hull_b1):
     a = efficiency_curve(INV, "ure", [2.0], 6.0, 6.0, 200, 40, seed=3)
     b = efficiency_curve(INV, "rhm", [2.0], 6.0, 6.0, 200, 40, seed=3, hull=zero_hull)
     assert np.array_equal(a.efficiency, b.efficiency)
+
+
+def test_efficiency_curves_match_single_method_calls(unit_hull_b1):
+    kw = dict(a_grid=[0.0, 0.5, 5.0, 50.0], W=6.0, m=6.0, reps=130, n_max=40, seed=8,
+              alpha=1.1, hull=unit_hull_b1)
+    both = efficiency_curves(SigmaSpec.power_law(0.3, 1.0), ("ure", "rhm"), **kw)
+    assert [c.method for c in both] == ["ure", "rhm"]
+    for curve in both:
+        alone = efficiency_curve(SigmaSpec.power_law(0.3, 1.0), curve.method, **kw)
+        assert curve.reps == alone.reps
+        for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
+            assert np.array_equal(getattr(curve, field), getattr(alone, field)), field
+
+
+# ---------------------------------------------------------------------------
+# blocked replication engine against the per-replication pipeline
+# ---------------------------------------------------------------------------
+
+ENGINE_SPEC = SigmaSpec.power_law(0.7, 1.0)
+ENGINE_N_MAX = 30
+
+
+@pytest.fixture(scope="module")
+def engine_hull():
+    return build_hull_table(ENGINE_SPEC, ENGINE_N_MAX, McParams(samples=20_000, seed=2))
+
+
+def _reference_stem(spec, signal, select, reps, n_max, seed):
+    """simulate -> select -> project -> loss, one replication at a time."""
+    selected, losses = [], []
+    for r in range(reps):
+        obs = simulate(spec, signal, n_max, derive_seed(seed, r))
+        N = select(obs)
+        selected.append(N)
+        losses.append(squared_loss(project(obs, N), signal))
+    return np.array(selected), np.array(losses) / sigma_at(spec, 1) ** 2
+
+
+@pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("signal_name", ["zero", "three", "family", "longer"])
+@pytest.mark.parametrize("method", ["ure", "rhm", "fixed"])
+def test_engine_matches_reference_loop(engine_hull, reps, signal_name, method):
+    n_max = ENGINE_N_MAX
+    signal = {
+        "zero": ZERO_SIGNAL,
+        "three": Signal([4.0, -2.5, 1.0]),
+        "family": signal_family(20.0, 6.0, 6.0, 0.7, n_max),
+        "longer": signal_family(20.0, 6.0, 2.0, 0.7, n_max + 9),
+    }[signal_name]
+    selector, select = {
+        "ure": (ure_selector(n_max), lambda obs: select_ure(obs, n_max).N_selected),
+        "rhm": (rhm_selector(engine_hull, 1.1, n_max),
+                lambda obs: select_rhm(obs, engine_hull, 1.1, n_max).N_selected),
+        "fixed": (fixed_selector(5), lambda obs: 5),
+    }[method]
+    stem = stem_experiment(ENGINE_SPEC, signal, selector, reps, n_max, seed=31)
+    want_N, want_loss = _reference_stem(ENGINE_SPEC, signal, select, reps, n_max, seed=31)
+    assert np.array_equal(stem.selected_N, want_N)
+    assert np.array_equal(stem.normalized_loss, want_loss)
+
+
+def test_engine_does_not_import_numpy_ma(cli_env):
+    # np.unique imports numpy.ma lazily (about 1 MB of peak RSS); the
+    # replication engine must not pull it in.
+    code = (
+        "import sys\n"
+        "import riskhull as rh\n"
+        "spec = rh.SigmaSpec.power_law(1.0, 1.0)\n"
+        "rh.efficiency_curve(spec, 'ure', [0.5, 5.0], 6.0, 6.0, 70, 20, seed=1)\n"
+        "rh.stem_experiment(spec, rh.ZERO_SIGNAL, rh.ure_selector(20), 70, 20, seed=1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# golden output digests
+# ---------------------------------------------------------------------------
+
+# sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, frozen
+# from the per-replication implementation; any change to a random stream,
+# the selection or the loss arithmetic moves them.
+GOLDEN_CONFIG = {
+    "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
+    "experiment": {"n_max": 60, "reps": 300, "seed": 4, "a_grid": [0.5, 5.0, 50.0]},
+    "selector": {"methods": ["ure", "rhm"], "alpha": 1.1},
+    "hull": {"samples": 20_000, "seed": 1},
+}
+GOLDEN_DIGESTS = {
+    "efficiency_ure.csv": "e0a470d84c24ab8a94795561b301bdecdbb0f7ed2799a52d9a47b178e1215ccf",
+    "efficiency_rhm.csv": "c675fe24948271d6eab1b7e05b120b46cf9c64339d2aa16b3f1870f978a6fd29",
+    "stem_ure.csv": "95be4a08f15f7ac6069222190042aa871cd0fe7e7f15b10707a0dab0f75cb98e",
+    "stem_rhm.csv": "f774982a2a02b0a9b1de7d44461c2a3088a11e1338d13610b09a90119d4c8580",
+}
+
+
+def test_bench_outputs_match_golden_digests(tmp_path, capsys):
+    digests = {}
+    for kind in ("efficiency", "stem"):
+        doc = dict(GOLDEN_CONFIG, experiment=dict(GOLDEN_CONFIG["experiment"], kind=kind),
+                   output={"directory": str(tmp_path / kind)})
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["bench", "--config", str(path)]) == 0
+        for method in ("ure", "rhm"):
+            name = f"{kind}_{method}.csv"
+            digests[name] = hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
 
 
 # ---------------------------------------------------------------------------
