@@ -11,7 +11,8 @@ Replications run in blocks of 64 (``_REP_BLOCK``): the block's draws fill
 the rows of one matrix, and selection, projection and loss are array
 operations over the whole block.  Every selector of a call shares those
 draws, so the URE and RHM curves of one ``efficiency_curves`` call see
-identical observations at half the sampling cost.  The stream layout is
+identical observations at half the sampling cost, and so do the stem
+records of one ``stem_experiments`` call.  The stream layout is
 the one of ``simulate`` per replication, (seed, r) as above, so the
 blocked engine reproduces the per-replication results bit for bit.  The
 block bounds the engine's working set to a few matrices of 64 x n_max.
@@ -36,13 +37,12 @@ import numpy as np
 # project, squared_loss and simulate are not called here; perfbench's tracer
 # looks them up on this module.
 from .estimators import oracle_risk, project, squared_loss  # noqa: F401
-from .hull import HullTable, atomic_write_text, penalty_ratio
+from .hull import HullTable, atomic_write_text, check_hull_spec, penalty_ratio
 from .selectors import Selector, rhm_selector, ure_selector
 from .sequence_model import (
     SigmaSpec,
     Signal,
     derive_seed,
-    fingerprint,
     rng_for,
     sigma_at,
     sigma_values,
@@ -55,6 +55,8 @@ from .sequence_model import (
 __all__ = [
     "StemData",
     "EfficiencyCurve",
+    "method_selectors",
+    "stem_experiments",
     "stem_experiment",
     "mc_selector_risk",
     "oracle_efficiency",
@@ -149,18 +151,29 @@ class StemData:
     config: dict
 
 
+def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
+                     reps: int, n_max: int, seed: int) -> list[StemData]:
+    """Replicated selection diagnostic of each selector, all on one set of draws."""
+    runs = _replicate(spec, signal, selectors, reps, n_max, seed)
+    sigma1_sq = sigma_at(spec, 1) ** 2
+    stems = []
+    for selected, losses in runs:
+        normalized = losses / sigma1_sq
+        stems.append(StemData(
+            selected_N=selected,
+            normalized_loss=normalized,
+            N_emp=float(np.mean(selected)),
+            R_emp=float(np.mean(normalized)),
+            config={"spec": spec_to_dict(spec), "reps": reps, "n_max": n_max, "seed": seed},
+        ))
+    return stems
+
+
 def stem_experiment(spec: SigmaSpec, signal: Signal, selector: Selector,
                     reps: int, n_max: int, seed: int) -> StemData:
     """Replicated selection diagnostic: selected bandwidths and losses."""
-    [(selected, losses)] = _replicate(spec, signal, [selector], reps, n_max, seed)
-    normalized = losses / sigma_at(spec, 1) ** 2
-    return StemData(
-        selected_N=selected,
-        normalized_loss=normalized,
-        N_emp=float(np.mean(selected)),
-        R_emp=float(np.mean(normalized)),
-        config={"spec": spec_to_dict(spec), "reps": reps, "n_max": n_max, "seed": seed},
-    )
+    [stem] = stem_experiments(spec, signal, [selector], reps, n_max, seed)
+    return stem
 
 
 def mc_selector_risk(spec: SigmaSpec, signal: Signal, selector: Selector,
@@ -188,6 +201,22 @@ def oracle_efficiency(spec: SigmaSpec, signal: Signal, selector: Selector,
     """Best fixed-bandwidth risk divided by the selector's Monte Carlo risk."""
     mean, _ = mc_selector_risk(spec, signal, selector, reps, n_max, seed)
     return oracle_risk(signal, spec, n_max).min_value / mean
+
+
+def method_selectors(methods: Sequence[str], n_max: int, *, alpha: float = DEFAULT_ALPHA,
+                     hull: HullTable | None = None) -> list[Selector]:
+    """The selector of each method name, ``'ure'`` or ``'rhm'`` (which needs ``hull``)."""
+    selectors = []
+    for method in methods:
+        if method == "ure":
+            selectors.append(ure_selector(n_max))
+        elif method == "rhm":
+            if hull is None:
+                raise ValueError("rhm needs a hull table")
+            selectors.append(rhm_selector(hull, alpha, n_max))
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    return selectors
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +255,9 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
         raise ValueError("a_grid must be nonempty")
     methods = tuple(methods)
     uspec = unit_spec(spec)
-    selectors = []
-    for method in methods:
-        if method == "ure":
-            selectors.append(ure_selector(n_max))
-        elif method == "rhm":
-            if hull is None:
-                raise ValueError("rhm needs a hull table built for unit_spec(spec)")
-            if hull.spec_fingerprint != fingerprint(uspec):
-                raise ValueError("hull table was not built for unit_spec(spec) (stale cache)")
-            selectors.append(rhm_selector(hull, alpha, n_max))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    if hull is not None:
+        check_hull_spec(hull, uspec, "unit_spec(spec)")
+    selectors = method_selectors(methods, n_max, alpha=alpha, hull=hull)
     _check_se_reps(reps)
 
     shape = (len(selectors), a_grid.size)

@@ -39,8 +39,9 @@ from .bench import (
     default_n_max,
     efficiency_curve,  # noqa: F401  not called; perfbench's tracer looks it up here
     efficiency_curves,
+    method_selectors,
     ratio_curve,
-    stem_experiment,
+    stem_experiments,
     write_efficiency_csv,
     write_manifest,
     write_ratio_csv,
@@ -53,11 +54,12 @@ from .hull import (
     McParams,
     atomic_write_text,
     build_hull_table,
+    hull_table_for,
     load_hull_table,
     save_hull_table,
     u1,
 )
-from .selectors import rhm_selector, select_rhm, select_ure, ure_selector
+from .selectors import select_rhm, select_ure
 from .sequence_model import (
     Observation,
     SigmaSpec,
@@ -104,37 +106,53 @@ def _get(doc: dict, field: str, path: str, kind, default=None, required=False):
         raise ConfigError(f"{path}.{field}: {exc}") from exc
 
 
-def _positive(name: str):
-    def conv(v):
-        x = float(v)
-        if not math.isfinite(x) or x <= 0:
-            raise ValueError(f"must be a positive finite real, got {v}")
-        return x
+def _boolean(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"must be a number, got {v!r}")
+    return float(v)
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"must be a string, got {v!r}")
+    return v
+
+
+def _positive(v) -> float:
+    x = _real(v)
+    if not math.isfinite(x) or x <= 0:
+        raise ValueError(f"must be a positive finite real, got {v}")
+    return x
+
+
+def _integer(lo: int):
+    """Integers >= lo; an integral number such as 1e6 counts, a boolean does not."""
+    def conv(v) -> int:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or (isinstance(v, float) and not v.is_integer()):
+            raise ValueError(f"must be an integer, got {v!r}")
+        if v < lo:
+            raise ValueError(f"must be an integer >= {lo}, got {v}")
+        return int(v)
 
     return conv
 
 
-def _nonneg_int(v) -> int:
-    x = int(v)
-    if x < 0:
-        raise ValueError(f"must be a nonnegative integer, got {v}")
-    return x
-
-
-def _pos_int(v) -> int:
-    x = int(v)
-    if x < 1:
-        raise ValueError(f"must be a positive integer, got {v}")
-    return x
+_nonneg_int, _pos_int = _integer(0), _integer(1)
 
 
 def parse_spec(doc: dict, path: str = "problem") -> SigmaSpec:
-    kind = _get(doc, "kind", path, str, required=True)
+    kind = _get(doc, "kind", path, _text, required=True)
     try:
         if kind == "power-law":
             return SigmaSpec.power_law(
-                _get(doc, "epsilon", path, _positive("epsilon"), required=True),
-                _get(doc, "beta", path, float, required=True),
+                _get(doc, "epsilon", path, _positive, required=True),
+                _get(doc, "beta", path, _real, required=True),
             )
         if kind == "explicit":
             return SigmaSpec.explicit(_get(doc, "values", path, list, required=True))
@@ -154,7 +172,7 @@ class RunConfig:
         self.spec = parse_spec(doc.get("problem") or {}, "problem")
 
         exp = doc.get("experiment") or {}
-        self.kind = _get(exp, "kind", "experiment", str, default="stem")
+        self.kind = _get(exp, "kind", "experiment", _text, default="stem")
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind: must be one of {_KINDS}, got {self.kind!r}")
         self.n_max = _get(exp, "n_max", "experiment", _pos_int, default=default_n_max(self.spec))
@@ -166,9 +184,9 @@ class RunConfig:
         self.seed = _get(exp, "seed", "experiment", _nonneg_int, default=0)
         if overrides.get("seed") is not None:
             self.seed = _nonneg_int(overrides["seed"])
-        self.W = _get(exp, "W", "experiment", _positive("W"), default=6.0)
-        self.m = _get(exp, "m", "experiment", _positive("m"), default=6.0)
-        self.amplitude = _get(exp, "a", "experiment", float, default=0.0)
+        self.W = _get(exp, "W", "experiment", _positive, default=6.0)
+        self.m = _get(exp, "m", "experiment", _positive, default=6.0)
+        self.amplitude = _get(exp, "a", "experiment", _real, default=0.0)
         if self.amplitude < 0:
             raise ConfigError(f"experiment.a: must be >= 0, got {self.amplitude}")
         grid = exp.get("a_grid")
@@ -176,7 +194,7 @@ class RunConfig:
             self.a_grid = [float(a) for a in default_a_grid()]
         else:
             try:
-                self.a_grid = [float(a) for a in grid]
+                self.a_grid = [_real(a) for a in grid]
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"experiment.a_grid: {exc}") from exc
             if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
@@ -189,7 +207,7 @@ class RunConfig:
         if not methods or any(m not in _METHODS for m in methods):
             raise ConfigError(f"selector.methods: must be a nonempty subset of {_METHODS}, got {methods}")
         self.methods = tuple(methods)
-        self.alpha = _get(sel, "alpha", "selector", float, default=DEFAULT_ALPHA)
+        self.alpha = _get(sel, "alpha", "selector", _real, default=DEFAULT_ALPHA)
         if self.alpha < 0 or not math.isfinite(self.alpha):
             raise ConfigError(f"selector.alpha: must be a finite real >= 0, got {self.alpha}")
         self.sel_n_max = _get(sel, "n_max", "selector", _pos_int, default=self.n_max)
@@ -200,14 +218,16 @@ class RunConfig:
             self.mc = McParams(
                 samples=_get(hull, "samples", "hull", _pos_int, default=DEFAULT_SAMPLES),
                 seed=_get(hull, "seed", "hull", _nonneg_int, default=1),
-                monotonize=_get(hull, "monotonize", "hull", bool, default=True),
+                monotonize=_get(hull, "monotonize", "hull", _boolean, default=True),
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"hull: {exc}") from exc
-        self.hull_cache = _get(hull, "cache", "hull", str, default=None)
+        self.hull_cache = _get(hull, "cache", "hull", _text, default=None)
 
         out = doc.get("output") or {}
-        self.out_dir = overrides.get("out") or _get(out, "directory", "output", str, default="out")
+        self.out_dir = overrides.get("out") or _get(out, "directory", "output", _text, default="out")
 
     def echo(self) -> dict:
         """Resolved config for the manifest (reproduces the run exactly)."""
@@ -250,54 +270,57 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Hull cache (read-through keyed by spec + parameters)
+# Hull cache (read-through keyed by spectrum shape + parameters)
 # ---------------------------------------------------------------------------
-
-
-def _default_cache_path(cfg: RunConfig, spec: SigmaSpec, n_max: int) -> str:
-    key = hashlib.sha256(
-        f"{fingerprint(spec)}|{n_max}|{cfg.mc.samples}|{cfg.mc.seed}|{cfg.mc.monotonize}".encode()
-    ).hexdigest()[:16]
-    return os.path.join(cfg.out_dir, f"hull_{key}.json")
-
-
-def _matches(table: HullTable, spec: SigmaSpec, n_max: int, mc: McParams) -> bool:
-    return (
-        table.spec_fingerprint == fingerprint(spec)
-        and table.N_max == n_max
-        and table.mc_samples == mc.samples
-        and table.seed == mc.seed
-        and table.monotonized == mc.monotonize
-    )
 
 
 def hull_read_through(cfg: RunConfig, spec: SigmaSpec, n_max: int,
                       rebuild: bool, threads: int) -> tuple[HullTable, str, bool]:
     """Load a matching cached table or build and cache a fresh one.
 
-    Returns (table, path, cache_hit).  An explicitly configured cache
-    path that exists but does not match the requested parameters is a
-    hard error (pass --rebuild to overwrite).
+    The cache holds the table of the spectrum shape ``unit_spec(spec)``,
+    so one file serves every noise level; the returned table is that one
+    rescaled for ``spec`` by :func:`hull_table_for`.  Returns (table,
+    path, cache_hit).  An explicitly configured cache path that exists
+    but does not match the requested parameters is a hard error (pass
+    --rebuild to overwrite).
     """
-    path = cfg.hull_cache or _default_cache_path(cfg, spec, n_max)
+    uspec = unit_spec(spec)
+    key = (fingerprint(uspec), n_max, cfg.mc.samples, cfg.mc.seed, cfg.mc.monotonize)
+    digest = hashlib.sha256("|".join(map(str, key)).encode()).hexdigest()[:16]
+    path = cfg.hull_cache or os.path.join(cfg.out_dir, f"hull_{digest}.json")
     if os.path.exists(path) and not rebuild:
         table, _ = load_hull_table(path)
-        if not _matches(table, spec, n_max, cfg.mc):
+        if (table.spec_fingerprint, table.N_max, table.mc_samples, table.seed, table.monotonized) != key:
             raise HullCacheError(
                 f"hull cache {path}: fingerprint/parameter mismatch with the requested "
                 f"spec (stale cache); rerun with --rebuild to replace it"
             )
-        return table, path, True
+        return hull_table_for(table, spec), path, True
     try:
-        table = build_hull_table(spec, n_max, cfg.mc, threads=threads)
+        table = build_hull_table(uspec, n_max, cfg.mc, threads=threads)
     except MemoryError as exc:
         raise MemoryError(
             f"hull: cannot allocate the {n_max} x {cfg.mc.samples} float32 path matrix "
             f"({n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
         ) from exc
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    save_hull_table(table, spec, path)
-    return table, path, False
+    save_hull_table(table, uspec, path)
+    return hull_table_for(table, spec), path, False
+
+
+def _require_hull(cfg: RunConfig, spec: SigmaSpec, n_max: int, needed: bool,
+                  rebuild: bool, threads: int) -> tuple[HullTable | None, str | None]:
+    """(table, its fingerprint) for ``spec`` when ``needed``, else (None, None)."""
+    if not needed:
+        return None, None
+    if not cfg.hull_present:
+        raise HullMissingError(
+            "rhm selection and the ratio experiment need a hull table: add a 'hull' "
+            "section (cache path and/or Monte Carlo parameters) to the config"
+        )
+    table, _, _ = hull_read_through(cfg, spec, n_max, rebuild, threads)
+    return table, table.spec_fingerprint
 
 
 def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
@@ -384,23 +407,14 @@ def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> i
     obs = Observation(ys=ys, n_max=len(ys), sigma=cfg.spec, seed=0)
     n_sel = min(cfg.sel_n_max, obs.n_max)
 
+    table, hull_fp = _require_hull(cfg, cfg.spec, max(n_sel, cfg.n_max), "rhm" in cfg.methods,
+                                   rebuild, threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     summary = {}
-    hull_fp = None
     results = {}
     for method in cfg.methods:
-        if method == "ure":
-            results[method] = select_ure(obs, n_sel)
-        else:
-            if not cfg.hull_present:
-                raise HullMissingError(
-                    "rhm selection needs a hull table: add a 'hull' section (cache path "
-                    "and/or Monte Carlo parameters) to the config"
-                )
-            table, _, _ = hull_read_through(cfg, cfg.spec, max(n_sel, cfg.n_max), rebuild, threads)
-            hull_fp = table.spec_fingerprint
-            results[method] = select_rhm(obs, table, cfg.alpha, n_sel)
+        results[method] = select_ure(obs, n_sel) if method == "ure" else select_rhm(obs, table, cfg.alpha, n_sel)
 
     sel_lines = ["method,N_selected"]
     for method, res in results.items():
@@ -423,31 +437,24 @@ def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> i
 
 
 def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
+    if cfg.kind == "select":
+        raise ConfigError("experiment.kind: 'select' runs through the 'select' subcommand")
+    # efficiency curves run at unit noise level (see riskhull.bench); the
+    # hull is resolved before any output is written, so a cache error
+    # cannot leave a half-written run behind
+    spec = unit_spec(cfg.spec) if cfg.kind == "efficiency" else cfg.spec
+    table, hull_fp = _require_hull(cfg, spec, cfg.n_max, cfg.kind == "ratio" or "rhm" in cfg.methods,
+                                   rebuild, threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs: list[str] = []
     summary: dict = {}
-    hull_fp = None
-
-    if cfg.kind == "select":
-        raise ConfigError("experiment.kind: 'select' runs through the 'select' subcommand")
 
     if cfg.kind == "stem":
         eps = sigma_at(cfg.spec, 1)
         signal = signal_family(cfg.amplitude, cfg.W, cfg.m, eps, cfg.n_max) if cfg.amplitude > 0 else ZERO_SIGNAL
-        table = None
-        if "rhm" in cfg.methods:
-            # resolve the hull up front so cache errors cannot leave a
-            # half-written run behind
-            if not cfg.hull_present:
-                raise HullMissingError("rhm stem experiment needs a 'hull' config section")
-            table, _, _ = hull_read_through(cfg, cfg.spec, cfg.n_max, rebuild, threads)
-            hull_fp = table.spec_fingerprint
-        for method in cfg.methods:
-            if method == "ure":
-                selector = ure_selector(cfg.n_max)
-            else:
-                selector = rhm_selector(table, cfg.alpha, cfg.n_max)
-            stem = stem_experiment(cfg.spec, signal, selector, cfg.reps, cfg.n_max, cfg.seed)
+        selectors = method_selectors(cfg.methods, cfg.n_max, alpha=cfg.alpha, hull=table)
+        stems = stem_experiments(cfg.spec, signal, selectors, cfg.reps, cfg.n_max, cfg.seed)
+        for method, stem in zip(cfg.methods, stems):
             name = f"stem_{method}.csv"
             write_stem_csv(stem, os.path.join(cfg.out_dir, name))
             outputs.append(name)
@@ -455,10 +462,6 @@ def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
             print(f"stem {method}: N_emp = {stem.N_emp:.4g}, R_emp = {stem.R_emp:.6g}")
 
     elif cfg.kind == "ratio":
-        if not cfg.hull_present:
-            raise HullMissingError("ratio experiment needs a 'hull' config section")
-        table, _, _ = hull_read_through(cfg, cfg.spec, cfg.n_max, rebuild, threads)
-        hull_fp = table.spec_fingerprint
         rows = ratio_curve(cfg.spec, table, cfg.alpha, range(1, cfg.n_max + 1))
         write_ratio_csv(rows, os.path.join(cfg.out_dir, "ratio.csv"))
         outputs.append("ratio.csv")
@@ -467,16 +470,9 @@ def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
         print(f"ratio: rho(1) = {rows[0][1]:.4g}, rho({cfg.n_max}) = {rows[-1][1]:.4g}")
 
     elif cfg.kind == "efficiency":
-        uspec = unit_spec(cfg.spec)
-        hull_table = None
-        if "rhm" in cfg.methods:
-            if not cfg.hull_present:
-                raise HullMissingError("rhm efficiency experiment needs a 'hull' config section")
-            hull_table, _, _ = hull_read_through(cfg, uspec, cfg.n_max, rebuild, threads)
-            hull_fp = hull_table.spec_fingerprint
         curves = efficiency_curves(
             cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
-            alpha=cfg.alpha, hull=hull_table,
+            alpha=cfg.alpha, hull=table,
         )
         for method, curve in zip(cfg.methods, curves):
             name = f"efficiency_{method}.csv"

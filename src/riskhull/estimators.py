@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hull import HullTable, check_hull_spec
 from .sequence_model import Observation, SigmaSpec, Signal, sigma_values, unit_spec
 
 __all__ = [
@@ -89,12 +90,17 @@ def oracle_risk(signal: Signal, spec: SigmaSpec, N_max: int) -> RiskCurve:
     return RiskCurve(values=values, argmin_N=idx + 1, min_value=float(values[idx]))
 
 
-def rhm_risk(signal: Signal, spec: SigmaSpec, hull, alpha: float, N: int) -> float:
-    """Hull-penalized risk: projection risk plus (1 + alpha) * U0(N)."""
+def rhm_risk(signal: Signal, spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> float:
+    """Hull-penalized risk: projection risk plus (1 + alpha) * U0(N).
+
+    The hull table must have been built for ``spec``; a fingerprint
+    mismatch means a stale cache and is an error.
+    """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 1 <= N <= hull.N_max:
         raise ValueError(f"N={N} outside hull table range 1..{hull.N_max}")
+    check_hull_spec(hull, spec)
     return projection_risk(signal, spec, N) + (1.0 + alpha) * float(hull.U0[N - 1])
 
 

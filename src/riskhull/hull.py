@@ -22,14 +22,18 @@ sampler asks for it, and tables are bit-identical for a given seed
 under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
-sigma_i^2/sigma_1^2, threshold 1).  Scaling every sigma by c then leaves
-the normalized problem untouched and multiplies U0 by c^2 through a
-single final multiplication, making the quadratic-scaling law exact in
-floating point for power-law spectra.
+sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
+depends only on the shape ``unit_spec(spec)``.  A table is built for that
+shape and :func:`hull_table_for` turns it into the table of ``spec`` with
+a single multiplication by sigma_1^2, making the quadratic-scaling law
+exact in floating point for power-law spectra.  A running maximum gives
+the same result before or after that positive scale (rounding preserves
+order), so one unit table serves every noise level bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -60,6 +64,8 @@ __all__ = [
     "tail_functional",
     "compute_u0",
     "build_hull_table",
+    "hull_table_for",
+    "check_hull_spec",
     "gaussian_u0",
     "u1",
     "penalty_ratio",
@@ -271,8 +277,9 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
 
     Every N shares the same xi draws through cumulative sums.  With
     ``mc.monotonize`` a running maximum removes downward Monte Carlo
-    wiggle.  Bit-identical output for identical (spec, N_max, mc)
-    regardless of ``threads``.
+    wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
+    :func:`hull_table_for`.  Bit-identical output for identical
+    (spec, N_max, mc) regardless of ``threads``.
     """
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
@@ -286,20 +293,42 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
         if sat:
             saturated.append(N)
     del paths
-    U0 = (sigma_at(spec, 1) ** 2) * u0_norm
     if mc.monotonize:
-        np.maximum.accumulate(U0, out=U0)
-    s4 = np.cumsum(sigma_values(spec, N_max) ** 4)
-    return HullTable(
+        np.maximum.accumulate(u0_norm, out=u0_norm)
+    uspec = unit_spec(spec)
+    unit = HullTable(
         N_max=N_max,
-        U0=U0,
-        SigmaFourth=s4,
-        spec_fingerprint=fingerprint(spec),
+        U0=u0_norm,
+        SigmaFourth=np.cumsum(sigma_values(uspec, N_max) ** 4),
+        spec_fingerprint=fingerprint(uspec),
         mc_samples=mc.samples,
         seed=mc.seed,
         monotonized=mc.monotonize,
         saturated=tuple(saturated),
     )
+    return hull_table_for(unit, spec)
+
+
+def hull_table_for(unit: HullTable, spec: SigmaSpec) -> HullTable:
+    """The table of ``spec`` from the table of its shape ``unit_spec(spec)``.
+
+    U0 is multiplied by sigma_1^2 (the one place a table is scaled),
+    ``SigmaFourth`` is recomputed from ``spec`` and the fingerprint is
+    that of ``spec``; the Monte Carlo provenance is kept.
+    """
+    check_hull_spec(unit, unit_spec(spec), "unit_spec(spec)")
+    return dataclasses.replace(
+        unit,
+        U0=(sigma_at(spec, 1) ** 2) * unit.U0,
+        SigmaFourth=np.cumsum(sigma_values(spec, unit.N_max) ** 4),
+        spec_fingerprint=fingerprint(spec),
+    )
+
+
+def check_hull_spec(hull: HullTable, spec: SigmaSpec, what: str = "the spec") -> None:
+    """Raise ValueError unless ``hull`` was built for ``spec`` (a stale cache)."""
+    if hull.spec_fingerprint != fingerprint(spec):
+        raise ValueError(f"hull table was not built for {what} (stale cache)")
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +381,7 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 1 <= N <= hull.N_max:
         raise ValueError(f"N={N} outside hull table range 1..{hull.N_max}")
-    if hull.spec_fingerprint != fingerprint(spec):
-        raise ValueError("hull table fingerprint does not match the spec (stale cache)")
+    check_hull_spec(hull, spec)
     denom = float(np.sum(sigma_values(spec, N) ** 2))
     rho = 1.0 + (1.0 + alpha) * float(hull.U0[N - 1]) / denom
     rho_tilde = 1.0 + (1.0 + alpha) * gaussian_u0(spec, N) / denom

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .hull import HullTable
-from .sequence_model import Observation, SigmaSpec, fingerprint, sigma_values
+from .hull import HullTable, check_hull_spec
+from .sequence_model import Observation, SigmaSpec, sigma_values
 
 __all__ = [
     "SelectorResult",
@@ -83,8 +83,7 @@ def _rhm_penalty(hull: HullTable, alpha: float, N_max: int) -> np.ndarray:
 
 
 def _rhm_objective(Y: np.ndarray, spec: SigmaSpec, hull: HullTable, pen: np.ndarray, N_max: int) -> np.ndarray:
-    if hull.spec_fingerprint != fingerprint(spec):
-        raise ValueError("hull table fingerprint does not match the observation's spec (stale cache)")
+    check_hull_spec(hull, spec, "the observation's spec")
     return _objective(Y, spec, N_max, pen)
 
 

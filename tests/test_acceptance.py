@@ -61,9 +61,8 @@ def _efficiency_pair(beta: float, n_max: int):
     grid = rh.default_a_grid()
     t0 = time.perf_counter()
     hull = rh.build_hull_table(rh.unit_spec(spec), n_max, MC_1M)
-    ure = rh.efficiency_curve(spec, "ure", grid, 6.0, 6.0, 10_000, n_max, SEED)
-    rhm = rh.efficiency_curve(spec, "rhm", grid, 6.0, 6.0, 10_000, n_max, SEED,
-                              alpha=1.1, hull=hull)
+    ure, rhm = rh.efficiency_curves(spec, ("ure", "rhm"), grid, 6.0, 6.0, 10_000, n_max, SEED,
+                                    alpha=1.1, hull=hull)
     return grid, ure, rhm, time.perf_counter() - t0
 
 

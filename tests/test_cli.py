@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import riskhull.bench
 import riskhull.cli
 import riskhull.hull
-from riskhull import HullTable, SigmaSpec, fingerprint, save_hull_table
+from riskhull import HullTable, McParams, SigmaSpec, build_hull_table, fingerprint, save_hull_table
 
 
 @pytest.fixture
@@ -62,6 +64,35 @@ def test_unknown_kind_rejected(tmp_path, run_cli):
     res = run_cli("bench", "--config", cfg, cwd=tmp_path)
     assert res.returncode == 2
     assert "experiment.kind" in res.stderr
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("hull", "monotonize", "false"),
+    ("hull", "monotonize", 0),
+    ("experiment", "n_max", 12.9),
+    ("experiment", "n_max", True),
+    ("hull", "samples", "20000"),
+    ("hull", "seed", False),
+    ("selector", "alpha", True),
+    ("problem", "beta", "1"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, section, field, value):
+    doc = copy.deepcopy(BASE_HULL_CFG)
+    doc[section] = dict(doc.get(section, {}), **{field: value})
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 2
+    assert f"error: {section}.{field}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "hull.json").exists()
+
+
+def test_config_accepts_integral_numbers_and_json_booleans():
+    doc = copy.deepcopy(BASE_HULL_CFG)
+    doc["experiment"]["n_max"] = 12.0
+    doc["hull"].update(samples=2e4, monotonize=False)
+    cfg = riskhull.cli.RunConfig(doc, {})
+    assert (cfg.n_max, cfg.mc.samples, cfg.mc.monotonize) == (12, 20_000, False)
+    assert type(cfg.n_max) is int and type(cfg.mc.samples) is int
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +156,52 @@ def test_hull_stale_cache_exits_3(tmp_path, run_cli):
     res = run_cli("hull", "--config", cfg2, cwd=tmp_path)
     assert res.returncode == 3
     assert "mismatch" in res.stderr
+
+
+def _half_noise_cfg(hull):
+    return {
+        "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
+        "experiment": {"kind": "efficiency", "n_max": 12, "reps": 20, "seed": 2, "a_grid": [1.0]},
+        "selector": {"methods": ["ure", "rhm"]},
+        "hull": dict({"samples": 10000, "seed": 7}, **hull),
+        "output": {"directory": "out"},
+    }
+
+
+def test_hull_and_bench_share_one_explicit_cache_per_shape(tmp_path, run_cli):
+    cfg = write_config(tmp_path / "c.json", _half_noise_cfg({"cache": "hull.json"}))
+    first = run_cli("hull", "--config", cfg, cwd=tmp_path)
+    assert first.returncode == 0, first.stderr
+    assert "built" in first.stdout
+    blob = (tmp_path / "hull.json").read_bytes()
+    assert json.loads(blob)["spec"]["epsilon"] == 1.0  # the table of unit_spec(spec)
+
+    bench = run_cli("bench", "--config", cfg, cwd=tmp_path)
+    assert bench.returncode == 0, bench.stderr
+    assert (tmp_path / "hull.json").read_bytes() == blob
+    last = run_cli("hull", "--config", cfg, cwd=tmp_path)
+    assert last.returncode == 0, last.stderr
+    assert "cache hit" in last.stdout
+    assert last.stdout.splitlines()[1] == first.stdout.splitlines()[1]
+
+    # a cache holding the table of the spec itself (the layout before
+    # tables were keyed by shape) is stale
+    spec = SigmaSpec.power_law(0.5, 1.0)
+    save_hull_table(build_hull_table(spec, 12, McParams(samples=10000, seed=7)), spec, tmp_path / "hull.json")
+    stale = run_cli("hull", "--config", cfg, cwd=tmp_path)
+    assert stale.returncode == 3
+    assert "stale cache" in stale.stderr
+    assert run_cli("hull", "--config", cfg, "--rebuild", cwd=tmp_path).returncode == 0
+    assert (tmp_path / "hull.json").read_bytes() == blob
+
+
+def test_hull_and_bench_share_one_default_cache_per_shape(tmp_path, run_cli):
+    cfg = write_config(tmp_path / "c.json", _half_noise_cfg({}))
+    for command in ("hull", "bench", "hull"):
+        res = run_cli(command, "--config", cfg, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+    assert "cache hit" in res.stdout
+    assert len(list((tmp_path / "out").glob("hull_*.json"))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +319,24 @@ def test_bench_seed_flag_overrides_config(tmp_path, run_cli):
     assert m1["config"]["experiment"]["seed"] == 5
     assert m2["config"]["experiment"]["seed"] == 6
     assert (tmp_path / "o1" / "stem_ure.csv").read_text() != (tmp_path / "o2" / "stem_ure.csv").read_text()
+
+
+def test_bench_stem_methods_share_one_draw_per_replication(tmp_path, monkeypatch):
+    calls = []
+    rng_for = riskhull.bench.rng_for
+
+    def counted(*args):
+        calls.append(args)
+        return rng_for(*args)
+
+    monkeypatch.setattr(riskhull.bench, "rng_for", counted)
+    monkeypatch.chdir(tmp_path)
+    doc = dict(_stem_cfg(reps=100), selector={"methods": ["ure", "rhm"]},
+               hull={"samples": 10000, "seed": 1})
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert riskhull.cli.main(["bench", "--config", cfg]) == 0
+    assert len(calls) == 100
+    assert (tmp_path / "out" / "stem_rhm.csv").exists()
 
 
 def test_bench_ratio(tmp_path, run_cli):

@@ -179,6 +179,12 @@ def test_rhm_risk_additive():
         rhm_risk(ZERO_SIGNAL, spec, hull, 1.0, 5)
 
 
+def test_rhm_risk_rejects_hull_of_another_spectrum():
+    hull = _toy_hull([0.0, 3.5, 3.5], SigmaSpec.power_law(1.0, 0.0))
+    with pytest.raises(ValueError, match="stale"):
+        rhm_risk(ZERO_SIGNAL, SigmaSpec.power_law(2.0, 0.0), hull, 1.0, 2)
+
+
 @pytest.mark.slow
 def test_rhm_risk_cross_checked_against_fresh_u0():
     from riskhull import McParams, build_hull_table, compute_u0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import stat
@@ -27,10 +28,12 @@ from riskhull import (
     penalty_ratio,
     sample_eta_paths,
     save_hull_table,
+    sigma_values,
     tail_functional,
     u1,
+    unit_spec,
 )
-from riskhull.hull import atomic_write_text
+from riskhull.hull import atomic_write_text, hull_table_for
 
 B0 = SigmaSpec.power_law(1.0, 0.0)
 B1 = SigmaSpec.power_law(1.0, 1.0)
@@ -213,6 +216,29 @@ def test_hull_table_saturation_flags_deep_tail():
     assert table.saturated
     assert 40 in table.saturated
     assert min(table.saturated) > 2  # shallow bandwidths still resolve
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("monotonize", [True, False])
+def test_hull_table_is_the_rescaled_unit_table(monotonize, threads):
+    # The reference is the order the table was once built in: each root
+    # scaled by sigma_1^2 on its own (compute_u0), then the running max.
+    mc = McParams(samples=10_000, seed=5, monotonize=monotonize)
+    raw_mc = dataclasses.replace(mc, monotonize=False)
+    specs = [SigmaSpec.power_law(eps, beta) for eps in (1.0, 0.5, 0.37) for beta in (0.0, 1.0, 2.0)]
+    specs.append(SigmaSpec.explicit([0.3, 0.9, 1.4, 2.0, 3.1, 3.3, 5.0, 8.5, 9.0, 12.0]))
+    for spec in specs:
+        unit = build_hull_table(unit_spec(spec), 10, mc, threads=threads)
+        raw = np.array([compute_u0(spec, N, raw_mc) for N in range(1, 11)])
+        want = np.maximum.accumulate(raw) if monotonize else raw
+        for table in (build_hull_table(spec, 10, mc, threads=threads), hull_table_for(unit, spec)):
+            assert np.array_equal(table.U0, want), spec
+            assert np.array_equal(table.SigmaFourth, np.cumsum(sigma_values(spec, 10) ** 4))
+            assert table.spec_fingerprint == fingerprint(spec)
+            assert (table.mc_samples, table.seed, table.monotonized) == (10_000, 5, monotonize)
+            assert table.saturated == unit.saturated
+    with pytest.raises(ValueError, match="stale"):
+        hull_table_for(build_hull_table(SigmaSpec.power_law(0.5, 1.0), 4, mc), SigmaSpec.power_law(0.5, 1.0))
 
 
 def test_quadratic_scaling_of_table_and_ratio():
