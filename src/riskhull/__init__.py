@@ -43,6 +43,7 @@ from .hull import (
     gaussian_u0,
     load_hull_table,
     penalty_ratio,
+    rhm_penalty,
     sample_eta_paths,
     save_hull_table,
     tail_functional,
@@ -82,7 +83,7 @@ __all__ = [
     "squared_loss", "ure_threshold",
     "HullCacheError", "HullTable", "McParams", "build_hull_table", "compute_u0",
     "eta_checkpoint_samples", "eta_paths_from_noise", "eta_samples_at",
-    "gaussian_u0", "load_hull_table", "penalty_ratio", "sample_eta_paths",
+    "gaussian_u0", "load_hull_table", "penalty_ratio", "rhm_penalty", "sample_eta_paths",
     "save_hull_table", "tail_functional", "u1",
     "Selector", "SelectorResult", "fixed_selector", "penalized_objective",
     "rhm_selector", "select_penalized", "select_rhm", "select_ure", "ure_selector",

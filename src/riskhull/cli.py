@@ -146,6 +146,33 @@ def _integer(lo: int):
 _nonneg_int, _pos_int = _integer(0), _integer(1)
 
 
+def _list_of(kind):
+    """A JSON list whose every entry converts with ``kind``."""
+    def conv(v) -> list:
+        if not isinstance(v, list):
+            raise ValueError(f"must be a list, got {v!r}")
+        return [kind(x) for x in v]
+
+    return conv
+
+
+def _methods(v) -> tuple[str, ...]:
+    """A method name or a nonempty list of distinct method names."""
+    names = [v] if isinstance(v, str) else v
+    if (not isinstance(names, list) or not names or any(m not in _METHODS for m in names)
+            or len(set(names)) != len(names)):
+        raise ValueError(f"must be a nonempty list of distinct names from {_METHODS}, got {v!r}")
+    return tuple(names)
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The config section ``name``: a JSON object, {} when absent or null."""
+    sec = {} if doc.get(name) is None else doc[name]
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {sec!r}")
+    return sec
+
+
 def parse_spec(doc: dict, path: str = "problem") -> SigmaSpec:
     kind = _get(doc, "kind", path, _text, required=True)
     try:
@@ -155,7 +182,7 @@ def parse_spec(doc: dict, path: str = "problem") -> SigmaSpec:
                 _get(doc, "beta", path, _real, required=True),
             )
         if kind == "explicit":
-            return SigmaSpec.explicit(_get(doc, "values", path, list, required=True))
+            return SigmaSpec.explicit(_get(doc, "values", path, _list_of(_positive), required=True))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -169,9 +196,9 @@ class RunConfig:
     def __init__(self, doc: dict, overrides: dict):
         if not isinstance(doc, dict):
             raise ConfigError("config: top-level document must be a JSON object")
-        self.spec = parse_spec(doc.get("problem") or {}, "problem")
+        self.spec = parse_spec(_section(doc, "problem"), "problem")
 
-        exp = doc.get("experiment") or {}
+        exp = _section(doc, "experiment")
         self.kind = _get(exp, "kind", "experiment", _text, default="stem")
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind: must be one of {_KINDS}, got {self.kind!r}")
@@ -189,31 +216,22 @@ class RunConfig:
         self.amplitude = _get(exp, "a", "experiment", _real, default=0.0)
         if self.amplitude < 0:
             raise ConfigError(f"experiment.a: must be >= 0, got {self.amplitude}")
-        grid = exp.get("a_grid")
-        if grid is None:
-            self.a_grid = [float(a) for a in default_a_grid()]
-        else:
-            try:
-                self.a_grid = [_real(a) for a in grid]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"experiment.a_grid: {exc}") from exc
-            if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
-                raise ConfigError("experiment.a_grid: must be a nonempty list of nonnegative reals")
+        self.a_grid = _get(exp, "a_grid", "experiment", _list_of(_real),
+                           default=[float(a) for a in default_a_grid()])
+        if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
+            raise ConfigError("experiment.a_grid: must be a nonempty list of nonnegative reals")
 
-        sel = doc.get("selector") or {}
-        methods = sel.get("methods", ["ure"])
-        if isinstance(methods, str):
-            methods = [methods]
-        if not methods or any(m not in _METHODS for m in methods):
-            raise ConfigError(f"selector.methods: must be a nonempty subset of {_METHODS}, got {methods}")
-        self.methods = tuple(methods)
+        sel = _section(doc, "selector")
+        self.methods = _get(sel, "methods", "selector", _methods, default=("ure",))
         self.alpha = _get(sel, "alpha", "selector", _real, default=DEFAULT_ALPHA)
         if self.alpha < 0 or not math.isfinite(self.alpha):
             raise ConfigError(f"selector.alpha: must be a finite real >= 0, got {self.alpha}")
-        self.sel_n_max = _get(sel, "n_max", "selector", _pos_int, default=self.n_max)
+        if "n_max" in sel:
+            raise ConfigError("selector.n_max: no longer a config key; experiment.n_max bounds "
+                              "the bandwidth search")
 
         self.hull_present = "hull" in doc and doc["hull"] is not None
-        hull = doc.get("hull") or {}
+        hull = _section(doc, "hull")
         try:
             self.mc = McParams(
                 samples=_get(hull, "samples", "hull", _pos_int, default=DEFAULT_SAMPLES),
@@ -226,7 +244,7 @@ class RunConfig:
             raise ConfigError(f"hull: {exc}") from exc
         self.hull_cache = _get(hull, "cache", "hull", _text, default=None)
 
-        out = doc.get("output") or {}
+        out = _section(doc, "output")
         self.out_dir = overrides.get("out") or _get(out, "directory", "output", _text, default="out")
 
     def echo(self) -> dict:
@@ -243,7 +261,7 @@ class RunConfig:
                 "a": self.amplitude,
                 "a_grid": self.a_grid,
             },
-            "selector": {"methods": list(self.methods), "alpha": self.alpha, "n_max": self.sel_n_max},
+            "selector": {"methods": list(self.methods), "alpha": self.alpha},
             "hull": (
                 {
                     "samples": self.mc.samples,
@@ -334,7 +352,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
               hull_fp: str | None) -> dict:
     return {
-        "format": "riskhull-manifest-v2",
+        "format": "riskhull-manifest-v3",
         "command": command,
         "config": cfg.echo(),
         "hull_fingerprint": hull_fp,
@@ -405,10 +423,9 @@ def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> i
     if bound is not None and len(ys) > bound:
         raise ConfigError(f"data file has {len(ys)} rows but the explicit sigma table stops at {bound}")
     obs = Observation(ys=ys, n_max=len(ys), sigma=cfg.spec, seed=0)
-    n_sel = min(cfg.sel_n_max, obs.n_max)
+    n_sel = min(cfg.n_max, obs.n_max)
 
-    table, hull_fp = _require_hull(cfg, cfg.spec, max(n_sel, cfg.n_max), "rhm" in cfg.methods,
-                                   rebuild, threads)
+    table, hull_fp = _require_hull(cfg, cfg.spec, cfg.n_max, "rhm" in cfg.methods, rebuild, threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     summary = {}
@@ -529,18 +546,15 @@ def main(argv=None) -> int:
         if args.command == "select":
             return cmd_select(cfg, args.data, args.rebuild, args.threads)
         return cmd_bench(cfg, args.rebuild, args.threads)
-    except (ConfigError, MemoryError) as exc:
+    except (HullCacheError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HullMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HULL
-    except (HullCacheError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

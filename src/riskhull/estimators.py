@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import HullTable, check_hull_spec
+from .hull import HullTable, check_hull_spec, rhm_penalty
 from .sequence_model import Observation, SigmaSpec, Signal, sigma_values, unit_spec
 
 __all__ = [
@@ -96,12 +96,9 @@ def rhm_risk(signal: Signal, spec: SigmaSpec, hull: HullTable, alpha: float, N: 
     The hull table must have been built for ``spec``; a fingerprint
     mismatch means a stale cache and is an error.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 1 <= N <= hull.N_max:
-        raise ValueError(f"N={N} outside hull table range 1..{hull.N_max}")
+    pen = rhm_penalty(hull, alpha, N)
     check_hull_spec(hull, spec)
-    return projection_risk(signal, spec, N) + (1.0 + alpha) * float(hull.U0[N - 1])
+    return projection_risk(signal, spec, N) + float(pen[-1])
 
 
 def ure_threshold(spec: SigmaSpec, N_max: int) -> int | None:

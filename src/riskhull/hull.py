@@ -68,6 +68,7 @@ __all__ = [
     "check_hull_spec",
     "gaussian_u0",
     "u1",
+    "rhm_penalty",
     "penalty_ratio",
     "save_hull_table",
     "load_hull_table",
@@ -371,19 +372,25 @@ def u1(spec: SigmaSpec, N: int) -> float:
     return math.sqrt(math.log(arg))
 
 
+def rhm_penalty(hull: HullTable, alpha: float, N_max: int) -> np.ndarray:
+    """RHM's penalty (1 + alpha) * U0(N), N = 1..N_max, for alpha >= 0 within the table."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 1 <= N_max <= hull.N_max:
+        raise ValueError(f"N={N_max} outside hull table range 1..{hull.N_max}")
+    return (1.0 + alpha) * hull.U0[:N_max]
+
+
 def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tuple[float, float]:
     """(rho, rho_tilde): hull-penalized over URE penalty, MC and Gaussian.
 
     rho(N) = 1 + (1+alpha) * U0(N) / sum_{k<=N} sigma_k^2, and the same
     with the Gaussian closed form in place of the Monte Carlo U0.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 1 <= N <= hull.N_max:
-        raise ValueError(f"N={N} outside hull table range 1..{hull.N_max}")
+    pen = rhm_penalty(hull, alpha, N)
     check_hull_spec(hull, spec)
     denom = float(np.sum(sigma_values(spec, N) ** 2))
-    rho = 1.0 + (1.0 + alpha) * float(hull.U0[N - 1]) / denom
+    rho = 1.0 + float(pen[-1]) / denom
     rho_tilde = 1.0 + (1.0 + alpha) * gaussian_u0(spec, N) / denom
     return rho, rho_tilde
 

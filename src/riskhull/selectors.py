@@ -1,14 +1,12 @@
 """Data-driven bandwidth selection: URE, RHM and custom penalties.
 
-All selectors minimize a penalized empirical risk over N = 1..N_max,
-
-    -sum_{k<=N} y_k^2 + sum_{k<=N} sigma_k^2 + pen(N),
-
-computed in one cumulative pass.  URE uses pen(N) = sum sigma_k^2; RHM
-adds the hull term (1 + alpha) * U0(N) on top of that.  Ties always
-break to the smallest bandwidth.  One kernel evaluates the objective for
-every row of a matrix of observations; selecting for a single
-observation is the one-row case of the same code.
+A bandwidth rule is its penalty: every selector minimizes, over
+N = 1..N_max, -sum_{k<=N} y_k^2 + 2 * sum_{k<=N} sigma_k^2 + pen(N).
+URE has pen = 0, RHM pen = (1 + alpha) * U0 (:func:`riskhull.hull.rhm_penalty`),
+a fixed bandwidth N pen = 0 at N and +inf elsewhere.  Ties break to the
+smallest bandwidth.  One kernel, :meth:`Selector.objective`, evaluates
+every row of a matrix of observations in one cumulative pass; one
+observation is the one-row case.
 
 A note on alpha: the risk bound behind RHM asks for alpha > 1, and the
 benchmark default is 1.1.  Any alpha >= 0 is accepted here; alpha = 0
@@ -23,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hull import HullTable, check_hull_spec
+from .hull import HullTable, check_hull_spec, rhm_penalty
 from .sequence_model import Observation, SigmaSpec, sigma_values
 
 __all__ = [
@@ -55,62 +53,51 @@ class SelectorResult:
         object.__setattr__(self, "objective_values", arr)
 
 
-def _objective(Y: np.ndarray, spec: SigmaSpec, N_max: int, pen: np.ndarray | None = None) -> np.ndarray:
-    """Objective -cumsum(y^2) + 2*cumsum(sigma^2) [+ pen] of every row of Y.
-
-    Row r, column N-1 holds the objective of row r at bandwidth N, for
-    N = 1..N_max.
-    """
-    if not 1 <= N_max <= Y.shape[1]:
-        raise ValueError(f"N_max={N_max} outside 1..{Y.shape[1]}")
-    Y = Y[:, :N_max]
-    sig2 = sigma_values(spec, N_max) ** 2
-    obj = np.cumsum(Y * Y, axis=1)
-    # 2*cumsum(sig2) - c rounds exactly like -c + 2*cumsum(sig2)
-    np.subtract(2.0 * np.cumsum(sig2), obj, out=obj)
-    if pen is not None:
-        obj += pen
-    return obj
-
-
-def _rhm_penalty(hull: HullTable, alpha: float, N_max: int) -> np.ndarray:
-    """(1 + alpha) * U0(N) for N = 1..N_max."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if N_max > hull.N_max:
-        raise ValueError(f"N_max={N_max} exceeds hull table range {hull.N_max}")
-    return (1.0 + alpha) * hull.U0[:N_max]
-
-
-def _rhm_objective(Y: np.ndarray, spec: SigmaSpec, hull: HullTable, pen: np.ndarray, N_max: int) -> np.ndarray:
-    check_hull_spec(hull, spec, "the observation's spec")
-    return _objective(Y, spec, N_max, pen)
-
-
-def _first_row(rows: np.ndarray, method: str) -> SelectorResult:
-    obj = rows[0]
-    return SelectorResult(N_selected=int(np.argmin(obj)) + 1, objective_values=obj, method=method)
-
-
 @dataclass(frozen=True, eq=False)
 class Selector:
-    """A bandwidth rule for one observation or for every row of a matrix.
+    """A bandwidth rule: the URE objective plus ``pen[N-1]`` at N = 1..N_max.
 
-    ``objective(Y, spec)`` maps the rows of ``Y`` (observations of the
-    spectrum ``spec``) to objective rows; the selected bandwidth of a row
-    is its smallest minimizer.  Build one with :func:`ure_selector`,
-    :func:`rhm_selector` or :func:`fixed_selector`.
+    A rule built from a hull table keeps it in ``hull``; it then applies
+    only to that table's spectrum (a mismatch means a stale cache).
     """
 
     method: str
-    objective: Callable[[np.ndarray, SigmaSpec], np.ndarray]
+    N_max: int
+    pen: np.ndarray
+    hull: HullTable | None = None
+
+    def __post_init__(self) -> None:
+        pen = np.array(self.pen, dtype=np.float64)
+        if pen.shape != (self.N_max,):
+            raise ValueError(f"pen must hold N_max={self.N_max} values, got shape {pen.shape}")
+        pen.flags.writeable = False
+        object.__setattr__(self, "pen", pen)
+
+    def objective(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
+        """Objective -cumsum(y^2) + 2*cumsum(sigma^2) + pen of every row of Y.
+
+        ``Y`` holds observations of the spectrum ``spec``; row r, column
+        N-1 of the result is the objective of row r at bandwidth N.
+        """
+        if self.hull is not None:
+            check_hull_spec(self.hull, spec, "the observation's spec")
+        if not 1 <= self.N_max <= Y.shape[1]:
+            raise ValueError(f"N_max={self.N_max} outside 1..{Y.shape[1]}")
+        Y = Y[:, :self.N_max]
+        sig2 = sigma_values(spec, self.N_max) ** 2
+        obj = np.cumsum(Y * Y, axis=1)
+        # 2*cumsum(sig2) - c rounds exactly like -c + 2*cumsum(sig2)
+        np.subtract(2.0 * np.cumsum(sig2), obj, out=obj)
+        obj += self.pen
+        return obj
 
     def select_rows(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
-        """Selected N (1-based, int64) of every row of ``Y``."""
+        """Selected N (1-based, int64) of every row of ``Y``: the smallest minimizer."""
         return np.argmin(self.objective(Y, spec), axis=1) + 1
 
     def __call__(self, obs: Observation) -> SelectorResult:
-        return _first_row(self.objective(obs.ys[None, :], obs.sigma), self.method)
+        obj = self.objective(obs.ys[None, :], obs.sigma)[0]
+        return SelectorResult(N_selected=int(np.argmin(obj)) + 1, objective_values=obj, method=self.method)
 
 
 def penalized_objective(obs: Observation, pen: Callable[[int], float], N: int) -> float:
@@ -122,46 +109,35 @@ def penalized_objective(obs: Observation, pen: Callable[[int], float], N: int) -
     return float(-np.sum(y * y) + np.sum(sig2) + pen(N))
 
 
-def select_ure(obs: Observation, N_max: int) -> SelectorResult:
-    """Unbiased risk estimation: smallest minimizer of the URE objective."""
-    return _first_row(_objective(obs.ys[None, :], obs.sigma, N_max), "ure")
-
-
-def select_rhm(obs: Observation, hull: HullTable, alpha: float, N_max: int) -> SelectorResult:
-    """Risk hull minimization: URE objective plus (1 + alpha) * U0(N).
-
-    The hull table must have been built for the observation's spectrum;
-    a fingerprint mismatch means a stale cache and is an error.
-    """
-    pen = _rhm_penalty(hull, alpha, N_max)
-    return _first_row(_rhm_objective(obs.ys[None, :], obs.sigma, hull, pen, N_max), "rhm")
-
-
-def select_penalized(obs: Observation, pen: Callable[[int], float], N_max: int) -> SelectorResult:
-    """Generic penalized empirical risk with a caller-supplied penalty."""
-    obj = np.array([penalized_objective(obs, pen, N) for N in range(1, N_max + 1)])
-    return SelectorResult(N_selected=int(np.argmin(obj)) + 1, objective_values=obj, method="custom-penalty")
-
-
 def ure_selector(N_max: int) -> Selector:
-    return Selector("ure", lambda Y, spec: _objective(Y, spec, N_max))
+    return Selector("ure", N_max, np.zeros(N_max))
 
 
 def rhm_selector(hull: HullTable, alpha: float, N_max: int) -> Selector:
-    pen = _rhm_penalty(hull, alpha, N_max)
-    return Selector("rhm", lambda Y, spec: _rhm_objective(Y, spec, hull, pen, N_max))
+    return Selector("rhm", N_max, rhm_penalty(hull, alpha, N_max), hull)
 
 
 def fixed_selector(N: int) -> Selector:
     """Always pick bandwidth N (baseline / oracle plumbing for benchmarks)."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    obj = np.ones(N)
-    obj[N - 1] = 0.0
+    pen = np.full(N, np.inf)
+    pen[N - 1] = 0.0
+    return Selector("custom-penalty", N, pen)
 
-    def objective(Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
-        if N > Y.shape[1]:
-            raise ValueError(f"fixed bandwidth {N} exceeds observation length {Y.shape[1]}")
-        return np.broadcast_to(obj, (Y.shape[0], N))
 
-    return Selector("custom-penalty", objective)
+def select_ure(obs: Observation, N_max: int) -> SelectorResult:
+    """Unbiased risk estimation: smallest minimizer of the URE objective."""
+    return ure_selector(N_max)(obs)
+
+
+def select_rhm(obs: Observation, hull: HullTable, alpha: float, N_max: int) -> SelectorResult:
+    """Risk hull minimization: URE objective plus (1 + alpha) * U0(N) of a hull built for obs.sigma."""
+    return rhm_selector(hull, alpha, N_max)(obs)
+
+
+def select_penalized(obs: Observation, pen: Callable[[int], float], N_max: int) -> SelectorResult:
+    """Minimize :func:`penalized_objective`: the URE kernel with sum_{k<=N} sigma_k^2 taken off pen(N)."""
+    extra = np.fromiter(map(pen, range(1, N_max + 1)), dtype=np.float64, count=N_max)
+    extra -= np.cumsum(sigma_values(obs.sigma, N_max) ** 2)
+    return Selector("custom-penalty", N_max, extra)(obs)

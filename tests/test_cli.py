@@ -75,15 +75,42 @@ def test_unknown_kind_rejected(tmp_path, run_cli):
     ("hull", "seed", False),
     ("selector", "alpha", True),
     ("problem", "beta", "1"),
+    ("selector", None, "ure"),
+    ("hull", None, 5),
+    ("experiment", None, "kind"),
+    ("selector", "methods", 5),
+    ("selector", "methods", {"ure": 1}),
+    ("selector", "methods", ["ure", "ure"]),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, section, field, value):
+    """A wrong-type value, or a whole section (field None) that is not an object."""
     doc = copy.deepcopy(BASE_HULL_CFG)
-    doc[section] = dict(doc.get(section, {}), **{field: value})
+    doc[section] = value if field is None else dict(doc.get(section, {}), **{field: value})
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", doc)
     assert riskhull.cli.main(["hull", "--config", cfg]) == 2
-    assert f"error: {section}.{field}: must be" in capsys.readouterr().err
+    name = section if field is None else f"{section}.{field}"
+    assert f"error: {name}: must be" in capsys.readouterr().err
     assert not (tmp_path / "hull.json").exists()
+
+
+@pytest.mark.parametrize("values", [["1.5", True, 2], [2, True], "12", [1.0, -1.0]])
+def test_explicit_values_must_be_positive_reals(tmp_path, monkeypatch, capsys, values):
+    doc = dict(copy.deepcopy(BASE_HULL_CFG), problem={"kind": "explicit", "values": values})
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 2
+    assert "error: problem.values: must be" in capsys.readouterr().err
+
+
+def test_selector_n_max_is_rejected(tmp_path, monkeypatch, capsys):
+    # the key used to bound select's search; ignoring it would change results silently
+    doc = dict(copy.deepcopy(BASE_HULL_CFG), selector={"methods": ["ure"], "n_max": 3})
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert riskhull.cli.main(["select", "--config", cfg, _data_file(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: selector.n_max:" in err and "experiment.n_max" in err
 
 
 def test_config_accepts_integral_numbers_and_json_booleans():
@@ -219,7 +246,7 @@ def _data_file(tmp_path, ys=(10.0, 3.0, 0.1)):
 def test_select_ure(tmp_path, run_cli):
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
-        "selector": {"methods": ["ure"], "n_max": 3},
+        "selector": {"methods": ["ure"]},
         "output": {"directory": "out"},
     })
     res = run_cli("select", "--config", cfg, _data_file(tmp_path), cwd=tmp_path)
@@ -247,7 +274,7 @@ def test_select_rhm_with_crafted_hull(tmp_path, run_cli):
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
         "experiment": {"n_max": 3},
-        "selector": {"methods": ["rhm"], "alpha": 1.0, "n_max": 3},
+        "selector": {"methods": ["rhm"], "alpha": 1.0},
         "hull": {"samples": 10000, "seed": 1, "cache": "hull.json"},
         "output": {"directory": "out"},
     })
@@ -259,7 +286,7 @@ def test_select_rhm_with_crafted_hull(tmp_path, run_cli):
 def test_select_rhm_without_hull_exits_4(tmp_path, run_cli):
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
-        "selector": {"methods": ["rhm"], "n_max": 3},
+        "selector": {"methods": ["rhm"]},
         "output": {"directory": "out"},
     })
     res = run_cli("select", "--config", cfg, _data_file(tmp_path), cwd=tmp_path)
@@ -270,7 +297,7 @@ def test_select_rhm_without_hull_exits_4(tmp_path, run_cli):
 def test_select_malformed_data_exits_2(tmp_path, run_cli):
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
-        "selector": {"methods": ["ure"], "n_max": 3},
+        "selector": {"methods": ["ure"]},
     })
     bad = tmp_path / "bad.csv"
     bad.write_text("k,y\n1,10.0\n3,3.0\n")  # gap in k
@@ -301,7 +328,8 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v2"
+    assert manifest["format"] == "riskhull-manifest-v3"
+    assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}
     assert manifest["summary"]["ure"]["N_emp"] > 0

@@ -9,6 +9,7 @@ from riskhull import (
     HullTable,
     McParams,
     Observation,
+    Selector,
     SigmaSpec,
     ZERO_SIGNAL,
     build_hull_table,
@@ -16,10 +17,15 @@ from riskhull import (
     fingerprint,
     fixed_selector,
     penalized_objective,
+    penalty_ratio,
     projection_risk,
+    rhm_penalty,
+    rhm_risk,
+    rhm_selector,
     select_penalized,
     select_rhm,
     select_ure,
+    sigma_values,
     simulate,
 )
 
@@ -59,6 +65,20 @@ def test_penalized_objective_with_sigma_sq_penalty_is_ure():
     for N in (1, 2, 3):
         # pen(N) = sum sigma_k^2 = N for the flat unit spectrum
         assert penalized_objective(obs, lambda n: float(n), N) == ure.objective_values[N - 1]
+
+
+@pytest.mark.parametrize("spec", [FLAT, SigmaSpec.power_law(0.5, 1.0), SigmaSpec.explicit([2.0, 0.3, 1.7, 4.0, 0.9, 1.1])])
+def test_select_penalized_matches_scalar_reference(spec):
+    def pen(n):
+        return 3.0 * np.log(n) + 0.25 * n
+
+    for seed in range(5):
+        obs = simulate(spec, ZERO_SIGNAL, 6, derive_seed(21, seed))
+        res = select_penalized(obs, pen, 6)
+        ref = np.array([penalized_objective(obs, pen, N) for N in range(1, 7)])
+        scale = np.sum(obs.ys**2) + np.sum(sigma_values(spec, 6) ** 2) + pen(6)
+        np.testing.assert_allclose(res.objective_values, ref, rtol=0, atol=1e-13 * scale)
+        assert res.N_selected == int(np.argmin(ref)) + 1
 
 
 def test_select_penalized_matches_ure_reduction():
@@ -127,6 +147,30 @@ def test_select_rhm_requires_hull_coverage():
         select_rhm(obs, hull, 1.1, 3)
 
 
+def test_rhm_penalty_is_one_computation():
+    # rhm_risk, penalty_ratio and the RHM selector add the same penalty and
+    # reject a negative alpha or a bandwidth past the table with one message
+    spec = SigmaSpec.power_law(1.0, 1.0)
+    table = build_hull_table(spec, 12, McParams(samples=20_000, seed=8))
+    pen = rhm_selector(table, 1.1, 12).pen
+    assert not pen.flags.writeable
+    assert np.array_equal(pen, rhm_penalty(table, 1.1, 12))
+    assert np.array_equal(pen, (1.0 + 1.1) * table.U0)
+    for N in range(1, 13):
+        assert rhm_risk(ZERO_SIGNAL, spec, table, 1.1, N) == projection_risk(ZERO_SIGNAL, spec, N) + pen[N - 1]
+        denom = float(np.sum(sigma_values(spec, N) ** 2))
+        assert penalty_ratio(spec, table, 1.1, N)[0] == 1.0 + float(pen[N - 1]) / denom
+    for alpha, N in ((-0.5, 3), (1.1, 13), (1.1, 0)):
+        messages = set()
+        for call in (lambda: rhm_risk(ZERO_SIGNAL, spec, table, alpha, N),
+                     lambda: penalty_ratio(spec, table, alpha, N),
+                     lambda: rhm_selector(table, alpha, N)):
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
+
+
 def test_penalty_ordering():
     # pen_rhm(N) - pen_ure(N) = (1 + alpha) U0(N) >= 0, equality iff U0 = 0.
     spec = SigmaSpec.power_law(1.0, 1.0)
@@ -184,6 +228,10 @@ def test_fixed_selector():
     obs = _obs([1.0, 2.0, 3.0])
     sel = fixed_selector(2)
     assert sel(obs).N_selected == 2
+    Y = 10.0 * np.random.default_rng(0).standard_normal((7, 4))
+    assert fixed_selector(3).select_rows(Y, FLAT).tolist() == [3] * 7
+    with pytest.raises(ValueError, match="pen must hold"):
+        Selector("custom-penalty", 3, np.zeros(1))  # would broadcast as a constant
     with pytest.raises(ValueError):
         fixed_selector(5)(_obs([1.0]))
 
