@@ -1,8 +1,10 @@
 """Monte Carlo experiment harness: stem diagnostics, penalty-ratio curves
 and oracle-efficiency curves, with CSV/manifest output.
 
-Replication r of a run seeded with s draws its noise from the derived
-stream (s, r) (or (s, a_index, r) inside an efficiency curve), so results
+Replication r of a run seeded with s draws its noise from
+``rng_for(derive_seed(s, r))``; inside an efficiency curve the seed of
+amplitude a_index is ``derive_seed(s, a_index)``, so replication r there
+draws from ``rng_for(derive_seed(derive_seed(s, a_index), r))``.  Results
 are reproducible bit for bit and independent of scheduling.  Per-curve
 aggregation uses numpy's pairwise summation on arrays filled by
 replication index, which keeps means order-independent as well.
@@ -13,7 +15,7 @@ operations over the whole block.  Every selector of a call shares those
 draws, so the URE and RHM curves of one ``efficiency_curves`` call see
 identical observations at half the sampling cost, and so do the stem
 records of one ``stem_experiments`` call.  The stream layout is
-the one of ``simulate`` per replication, (seed, r) as above, so the
+the one of ``simulate`` per replication, as above, so the
 blocked engine reproduces the per-replication results bit for bit.  The
 block bounds the engine's working set to a few matrices of 64 x n_max.
 
@@ -48,7 +50,6 @@ from .sequence_model import (
     sigma_values,
     signal_family,
     simulate,  # noqa: F401
-    spec_to_dict,
     unit_spec,
 )
 
@@ -148,7 +149,6 @@ class StemData:
     normalized_loss: np.ndarray
     N_emp: float
     R_emp: float
-    config: dict
 
 
 def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
@@ -164,7 +164,6 @@ def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Select
             normalized_loss=normalized,
             N_emp=float(np.mean(selected)),
             R_emp=float(np.mean(normalized)),
-            config={"spec": spec_to_dict(spec), "reps": reps, "n_max": n_max, "seed": seed},
         ))
     return stems
 

@@ -8,10 +8,12 @@ select  run URE/RHM bandwidth selection on a (k, y_k) CSV file
 bench   run a stem / ratio / efficiency experiment and emit CSVs
 
 A single JSON config document drives every run; command-line flags
-(--seed, --out) override the corresponding fields.  Every run writes a
-manifest with the fully resolved config, seeds and versions, which is
-enough to reproduce its outputs bit for bit.  ``--threads`` only bounds
-hull-construction workers and never changes any output byte.
+(--seed, --out) override the corresponding fields, and a key that no
+field reads is a config error.  Every run writes a manifest whose
+``config`` is the fully resolved config: fed back in as the config
+document, it replays the run and reproduces its outputs bit for bit.
+``--threads`` only bounds hull-construction workers and never changes
+any output byte.
 
 Exit codes: 0 success, 2 config or input error (a refused memory
 allocation included), 3 I/O or stale/corrupt cache, 4 hull table
@@ -68,7 +70,6 @@ from .sequence_model import (
     max_index,
     sigma_at,
     signal_family,
-    spec_to_dict,
     unit_spec,
 )
 
@@ -92,18 +93,6 @@ class HullMissingError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Config parsing (field-level error messages)
 # ---------------------------------------------------------------------------
-
-
-def _get(doc: dict, field: str, path: str, kind, default=None, required=False):
-    if field not in doc or doc[field] is None:
-        if required:
-            raise ConfigError(f"{path}.{field}: required field is missing")
-        return default
-    val = doc[field]
-    try:
-        return kind(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{field}: {exc}") from exc
 
 
 def _boolean(v) -> bool:
@@ -165,115 +154,115 @@ def _methods(v) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The config section ``name``: a JSON object, {} when absent or null."""
-    sec = {} if doc.get(name) is None else doc[name]
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: must be a JSON object, got {sec!r}")
-    return sec
-
-
-def parse_spec(doc: dict, path: str = "problem") -> SigmaSpec:
-    kind = _get(doc, "kind", path, _text, required=True)
+def _made(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ValueError it raises reported against ``section``."""
     try:
-        if kind == "power-law":
-            return SigmaSpec.power_law(
-                _get(doc, "epsilon", path, _positive, required=True),
-                _get(doc, "beta", path, _real, required=True),
-            )
-        if kind == "explicit":
-            return SigmaSpec.explicit(_get(doc, "values", path, _list_of(_positive), required=True))
-    except ConfigError:
-        raise
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: must be 'power-law' or 'explicit', got {kind!r}")
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+_SECTIONS = ("problem", "experiment", "selector", "hull", "output")
 
 
 class RunConfig:
-    """Fully resolved configuration for one CLI run."""
+    """The run's one input record: the resolved config and the command-line overrides.
+
+    The document is read in one pass.  Every value a field reads, default
+    or ``--seed``/``--out`` override included, is recorded in ``echo``,
+    which the manifest stores as its ``config``: fed back in as the config
+    document, it replays the run.  A key that no field reads is a config
+    error.  ``--rebuild`` and ``--threads`` never change an output byte
+    and are not echoed.
+    """
 
     def __init__(self, doc: dict, overrides: dict):
         if not isinstance(doc, dict):
             raise ConfigError("config: top-level document must be a JSON object")
-        self.spec = parse_spec(_section(doc, "problem"), "problem")
+        self.echo: dict = {}
+        self.rebuild = bool(overrides.get("rebuild"))
+        self.threads = overrides.get("threads", 1)
 
-        exp = _section(doc, "experiment")
-        self.kind = _get(exp, "kind", "experiment", _text, default="stem")
+        read = self._reader(doc, "problem")
+        kind = read("kind", _text, required=True)
+        if kind == "power-law":
+            self.spec = _made("problem", SigmaSpec.power_law, read("epsilon", _positive, required=True),
+                              read("beta", _real, required=True))
+        elif kind == "explicit":
+            self.spec = _made("problem", SigmaSpec.explicit, read("values", _list_of(_positive), required=True))
+        else:
+            raise ConfigError(f"problem.kind: must be 'power-law' or 'explicit', got {kind!r}")
+
+        read = self._reader(doc, "experiment")
+        self.kind = read("kind", _text, default="stem")
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind: must be one of {_KINDS}, got {self.kind!r}")
-        self.n_max = _get(exp, "n_max", "experiment", _pos_int, default=default_n_max(self.spec))
+        self.n_max = read("n_max", _pos_int, default=default_n_max(self.spec))
         bound = max_index(self.spec)
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
-        default_reps = STEM_REPS if self.kind == "stem" else DEFAULT_REPS
-        self.reps = _get(exp, "reps", "experiment", _pos_int, default=default_reps)
-        self.seed = _get(exp, "seed", "experiment", _nonneg_int, default=0)
-        if overrides.get("seed") is not None:
-            self.seed = _nonneg_int(overrides["seed"])
-        self.W = _get(exp, "W", "experiment", _positive, default=6.0)
-        self.m = _get(exp, "m", "experiment", _positive, default=6.0)
-        self.amplitude = _get(exp, "a", "experiment", _real, default=0.0)
+        self.reps = read("reps", _pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
+        self.seed = read("seed", _nonneg_int, default=0, override=overrides.get("seed"))
+        self.W = read("W", _positive, default=6.0)
+        self.m = read("m", _positive, default=6.0)
+        self.amplitude = read("a", _real, default=0.0)
         if self.amplitude < 0:
             raise ConfigError(f"experiment.a: must be >= 0, got {self.amplitude}")
-        self.a_grid = _get(exp, "a_grid", "experiment", _list_of(_real),
-                           default=[float(a) for a in default_a_grid()])
+        self.a_grid = read("a_grid", _list_of(_real), default=[float(a) for a in default_a_grid()])
         if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
             raise ConfigError("experiment.a_grid: must be a nonempty list of nonnegative reals")
 
-        sel = _section(doc, "selector")
-        self.methods = _get(sel, "methods", "selector", _methods, default=("ure",))
-        self.alpha = _get(sel, "alpha", "selector", _real, default=DEFAULT_ALPHA)
+        read = self._reader(doc, "selector")
+        self.methods = read("methods", _methods, default=("ure",))
+        self.alpha = read("alpha", _real, default=DEFAULT_ALPHA)
         if self.alpha < 0 or not math.isfinite(self.alpha):
             raise ConfigError(f"selector.alpha: must be a finite real >= 0, got {self.alpha}")
-        if "n_max" in sel:
+        if "n_max" in (doc.get("selector") or {}):
             raise ConfigError("selector.n_max: no longer a config key; experiment.n_max bounds "
                               "the bandwidth search")
 
-        self.hull_present = "hull" in doc and doc["hull"] is not None
-        hull = _section(doc, "hull")
-        try:
-            self.mc = McParams(
-                samples=_get(hull, "samples", "hull", _pos_int, default=DEFAULT_SAMPLES),
-                seed=_get(hull, "seed", "hull", _nonneg_int, default=1),
-                monotonize=_get(hull, "monotonize", "hull", _boolean, default=True),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"hull: {exc}") from exc
-        self.hull_cache = _get(hull, "cache", "hull", _text, default=None)
+        read = self._reader(doc, "hull")
+        self.mc = _made("hull", McParams, samples=read("samples", _pos_int, default=DEFAULT_SAMPLES),
+                        seed=read("seed", _nonneg_int, default=1),
+                        monotonize=read("monotonize", _boolean, default=True))
+        self.hull_cache = read("cache", _text)
+        if doc.get("hull") is None:
+            self.echo["hull"] = None  # no hull section: RHM and ratio runs exit 4
 
-        out = _section(doc, "output")
-        self.out_dir = overrides.get("out") or _get(out, "directory", "output", _text, default="out")
+        read = self._reader(doc, "output")
+        self.out_dir = read("directory", _text, default="out", override=overrides.get("out") or None)
 
-    def echo(self) -> dict:
-        """Resolved config for the manifest (reproduces the run exactly)."""
-        return {
-            "problem": spec_to_dict(self.spec),
-            "experiment": {
-                "kind": self.kind,
-                "n_max": self.n_max,
-                "reps": self.reps,
-                "seed": self.seed,
-                "W": self.W,
-                "m": self.m,
-                "a": self.amplitude,
-                "a_grid": self.a_grid,
-            },
-            "selector": {"methods": list(self.methods), "alpha": self.alpha},
-            "hull": (
-                {
-                    "samples": self.mc.samples,
-                    "seed": self.mc.seed,
-                    "monotonize": self.mc.monotonize,
-                    "cache": self.hull_cache,
-                }
-                if self.hull_present
-                else None
-            ),
-            "output": {"directory": self.out_dir},
-        }
+        for name, sec in doc.items():
+            if name not in _SECTIONS:
+                raise ConfigError(f"{name}: unknown config key")
+            for key in sec or {}:
+                if key not in self.echo[name]:
+                    raise ConfigError(f"{name}.{key}: unknown config key")
+
+    def _reader(self, doc: dict, name: str):
+        """Reader of the section ``name`` (a JSON object, {} when absent or null).
+
+        ``read(field, kind, ...)`` converts the field with ``kind`` (a
+        missing or null field takes ``default``), then an ``override`` that
+        is not None; it records the value in ``echo[name]`` and returns it.
+        """
+        sec = {} if doc.get(name) is None else doc[name]
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{name}: must be a JSON object, got {sec!r}")
+        echo = self.echo[name] = {}
+
+        def read(field, kind, default=None, required=False, override=None):
+            val = sec.get(field)
+            if val is None and required:
+                raise ConfigError(f"{name}.{field}: required field is missing")
+            try:
+                val = default if val is None else kind(val)
+                echo[field] = val if override is None else kind(override)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}.{field}: {exc}") from exc
+            return echo[field]
+
+        return read
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
@@ -292,9 +281,8 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def hull_read_through(cfg: RunConfig, spec: SigmaSpec, n_max: int,
-                      rebuild: bool, threads: int) -> tuple[HullTable, str, bool]:
-    """Load a matching cached table or build and cache a fresh one.
+def hull_read_through(cfg: RunConfig, spec: SigmaSpec) -> tuple[HullTable, str, bool]:
+    """Load a matching cached table for N = 1..cfg.n_max or build and cache a fresh one.
 
     The cache holds the table of the spectrum shape ``unit_spec(spec)``,
     so one file serves every noise level; the returned table is that one
@@ -304,10 +292,10 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec, n_max: int,
     --rebuild to overwrite).
     """
     uspec = unit_spec(spec)
-    key = (fingerprint(uspec), n_max, cfg.mc.samples, cfg.mc.seed, cfg.mc.monotonize)
+    key = (fingerprint(uspec), cfg.n_max, cfg.mc.samples, cfg.mc.seed, cfg.mc.monotonize)
     digest = hashlib.sha256("|".join(map(str, key)).encode()).hexdigest()[:16]
     path = cfg.hull_cache or os.path.join(cfg.out_dir, f"hull_{digest}.json")
-    if os.path.exists(path) and not rebuild:
+    if os.path.exists(path) and not cfg.rebuild:
         table, _ = load_hull_table(path)
         if (table.spec_fingerprint, table.N_max, table.mc_samples, table.seed, table.monotonized) != key:
             raise HullCacheError(
@@ -316,29 +304,28 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec, n_max: int,
             )
         return hull_table_for(table, spec), path, True
     try:
-        table = build_hull_table(uspec, n_max, cfg.mc, threads=threads)
+        table = build_hull_table(uspec, cfg.n_max, cfg.mc, threads=cfg.threads)
     except MemoryError as exc:
         raise MemoryError(
-            f"hull: cannot allocate the {n_max} x {cfg.mc.samples} float32 path matrix "
-            f"({n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
+            f"hull: cannot allocate the {cfg.n_max} x {cfg.mc.samples} float32 path matrix "
+            f"({cfg.n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
         ) from exc
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     save_hull_table(table, uspec, path)
     return hull_table_for(table, spec), path, False
 
 
-def _require_hull(cfg: RunConfig, spec: SigmaSpec, n_max: int, needed: bool,
-                  rebuild: bool, threads: int) -> tuple[HullTable | None, str | None]:
-    """(table, its fingerprint) for ``spec`` when ``needed``, else (None, None)."""
+def _require_hull(cfg: RunConfig, spec: SigmaSpec, needed: bool) -> HullTable | None:
+    """The hull table for ``spec`` when ``needed``, else None."""
     if not needed:
-        return None, None
-    if not cfg.hull_present:
+        return None
+    if cfg.echo["hull"] is None:
         raise HullMissingError(
             "rhm selection and the ratio experiment need a hull table: add a 'hull' "
             "section (cache path and/or Monte Carlo parameters) to the config"
         )
-    table, _, _ = hull_read_through(cfg, spec, n_max, rebuild, threads)
-    return table, table.spec_fingerprint
+    table, _, _ = hull_read_through(cfg, spec)
+    return table
 
 
 def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
@@ -349,13 +336,13 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
     return int(bad[-1]) + 2 if bad.size else 1
 
 
-def _manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
-              hull_fp: str | None) -> dict:
-    return {
+def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
+                    table: HullTable | None, **extra) -> None:
+    write_manifest({
         "format": "riskhull-manifest-v3",
         "command": command,
-        "config": cfg.echo(),
-        "hull_fingerprint": hull_fp,
+        "config": cfg.echo,
+        "hull_fingerprint": None if table is None else table.spec_fingerprint,
         "outputs": sorted(outputs),
         "summary": summary,
         "versions": {
@@ -363,7 +350,8 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-    }
+        **extra,
+    }, os.path.join(cfg.out_dir, "manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +359,9 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
 # ---------------------------------------------------------------------------
 
 
-def cmd_hull(cfg: RunConfig, rebuild: bool, threads: int) -> int:
+def cmd_hull(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    table, path, hit = hull_read_through(cfg, cfg.spec, cfg.n_max, rebuild, threads)
+    table, path, hit = hull_read_through(cfg, cfg.spec)
     n0 = _envelope_crossing(table, cfg.spec)
     state = "cache hit" if hit else "built"
     print(f"hull {state}: {path}")
@@ -382,14 +370,13 @@ def cmd_hull(cfg: RunConfig, rebuild: bool, threads: int) -> int:
     if table.saturated:
         print(f"warning: tail saturated at N in {list(table.saturated)}; "
               f"increase hull.samples for this spectrum", file=sys.stderr)
-    manifest = _manifest(cfg, "hull", [os.path.basename(path)], {
+    _write_manifest(cfg, "hull", [os.path.basename(path)], {
         "U0_first": float(table.U0[0]),
         "U0_last": float(table.U0[-1]),
         "envelope_N0": n0,
         "cache_hit": hit,
         "saturated": list(table.saturated),
-    }, table.spec_fingerprint)
-    write_manifest(manifest, os.path.join(cfg.out_dir, "manifest.json"))
+    }, table)
     return EXIT_OK
 
 
@@ -417,7 +404,7 @@ def _read_data_csv(path: str) -> np.ndarray:
     return np.asarray(ys, dtype=np.float64)
 
 
-def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> int:
+def cmd_select(cfg: RunConfig, data_path: str) -> int:
     ys = _read_data_csv(data_path)
     bound = max_index(cfg.spec)
     if bound is not None and len(ys) > bound:
@@ -425,7 +412,7 @@ def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> i
     obs = Observation(ys=ys, n_max=len(ys), sigma=cfg.spec, seed=0)
     n_sel = min(cfg.n_max, obs.n_max)
 
-    table, hull_fp = _require_hull(cfg, cfg.spec, cfg.n_max, "rhm" in cfg.methods, rebuild, threads)
+    table = _require_hull(cfg, cfg.spec, "rhm" in cfg.methods)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     summary = {}
@@ -447,21 +434,18 @@ def cmd_select(cfg: RunConfig, data_path: str, rebuild: bool, threads: int) -> i
         print(f"{method}: N = {res.N_selected}")
     atomic_write_text(os.path.join(cfg.out_dir, "selection.csv"), "\n".join(sel_lines) + "\n")
     outputs.append("selection.csv")
-    manifest = _manifest(cfg, "select", outputs, summary, hull_fp)
-    manifest["data_file"] = os.path.basename(data_path)
-    write_manifest(manifest, os.path.join(cfg.out_dir, "manifest.json"))
+    _write_manifest(cfg, "select", outputs, summary, table, data_file=os.path.basename(data_path))
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
+def cmd_bench(cfg: RunConfig) -> int:
     if cfg.kind == "select":
         raise ConfigError("experiment.kind: 'select' runs through the 'select' subcommand")
     # efficiency curves run at unit noise level (see riskhull.bench); the
     # hull is resolved before any output is written, so a cache error
     # cannot leave a half-written run behind
     spec = unit_spec(cfg.spec) if cfg.kind == "efficiency" else cfg.spec
-    table, hull_fp = _require_hull(cfg, spec, cfg.n_max, cfg.kind == "ratio" or "rhm" in cfg.methods,
-                                   rebuild, threads)
+    table = _require_hull(cfg, spec, cfg.kind == "ratio" or "rhm" in cfg.methods)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs: list[str] = []
     summary: dict = {}
@@ -502,8 +486,7 @@ def cmd_bench(cfg: RunConfig, rebuild: bool, threads: int) -> int:
             print(f"efficiency {method}: min = {np.min(curve.efficiency):.4g}, "
                   f"max = {np.max(curve.efficiency):.4g}")
 
-    manifest = _manifest(cfg, "bench", outputs, {"experiment": cfg.kind, **summary}, hull_fp)
-    write_manifest(manifest, os.path.join(cfg.out_dir, "manifest.json"))
+    _write_manifest(cfg, "bench", outputs, {"experiment": cfg.kind, **summary}, table)
     return EXIT_OK
 
 
@@ -540,12 +523,13 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
+        cfg = load_config(args.config, {"seed": args.seed, "out": args.out,
+                                        "rebuild": args.rebuild, "threads": args.threads})
         if args.command == "hull":
-            return cmd_hull(cfg, args.rebuild, args.threads)
+            return cmd_hull(cfg)
         if args.command == "select":
-            return cmd_select(cfg, args.data, args.rebuild, args.threads)
-        return cmd_bench(cfg, args.rebuild, args.threads)
+            return cmd_select(cfg, args.data)
+        return cmd_bench(cfg)
     except (HullCacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

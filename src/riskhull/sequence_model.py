@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _real(v, name: str) -> float:
+    """``v`` as a float; strings and booleans are refused, not converted."""
+    if not isinstance(v, numbers.Real) or isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class SigmaSpec:
     """Noise-spectrum specification sigma_k.
@@ -81,18 +89,21 @@ class SigmaSpec:
 
     def __post_init__(self) -> None:
         if self.kind == POWER_LAW:
-            if self.epsilon is None or not np.isfinite(self.epsilon) or self.epsilon <= 0:
-                raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
-            if self.beta is None or not np.isfinite(self.beta) or self.beta < 0:
-                raise ValueError(f"beta must be a nonnegative finite real, got {self.beta}")
+            eps, beta = _real(self.epsilon, "epsilon"), _real(self.beta, "beta")
+            if not np.isfinite(eps) or eps <= 0:
+                raise ValueError(f"epsilon must be a positive finite real, got {eps}")
+            if not np.isfinite(beta) or beta < 0:
+                raise ValueError(f"beta must be a nonnegative finite real, got {beta}")
             if self.values is not None:
                 raise ValueError("power-law spec does not take explicit values")
+            object.__setattr__(self, "epsilon", eps)
+            object.__setattr__(self, "beta", beta)
         elif self.kind == EXPLICIT:
             if self.epsilon is not None or self.beta is not None:
                 raise ValueError("explicit spec does not take epsilon/beta")
             if not self.values:
                 raise ValueError("explicit spec needs at least one value")
-            vals = tuple(float(v) for v in self.values)
+            vals = tuple(_real(v, "explicit sigma value") for v in self.values)
             if any(not np.isfinite(v) or v <= 0 for v in vals):
                 raise ValueError("explicit sigma values must all be positive and finite")
             object.__setattr__(self, "values", vals)
@@ -101,11 +112,11 @@ class SigmaSpec:
 
     @classmethod
     def power_law(cls, epsilon: float, beta: float) -> "SigmaSpec":
-        return cls(kind=POWER_LAW, epsilon=float(epsilon), beta=float(beta))
+        return cls(kind=POWER_LAW, epsilon=epsilon, beta=beta)
 
     @classmethod
     def explicit(cls, values) -> "SigmaSpec":
-        return cls(kind=EXPLICIT, values=tuple(float(v) for v in values))
+        return cls(kind=EXPLICIT, values=tuple(values))
 
 
 def max_index(spec: SigmaSpec) -> int | None:

@@ -113,6 +113,27 @@ def test_selector_n_max_is_rejected(tmp_path, monkeypatch, capsys):
     assert "error: selector.n_max:" in err and "experiment.n_max" in err
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("hull", "hull", "sampels", 10000),
+    ("select", "selector", "method", ["rhm"]),
+    ("bench", "experiment", "sed", 3),
+    ("hull", "problem", "values", [1.0, 2.0]),  # not read by a power-law spec
+    ("hull", "output", "formats", ["csv"]),
+    ("hull", None, "hul", {"samples": 10000}),
+])
+def test_unknown_config_key_exits_2(tmp_path, monkeypatch, capsys, command, section, key, value):
+    """A key that no field reads (section None: a top-level section) is refused before any write."""
+    doc = copy.deepcopy(BASE_HULL_CFG)
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    monkeypatch.chdir(tmp_path)
+    data = [_data_file(tmp_path)] if command == "select" else []
+    assert riskhull.cli.main([command, "--config", write_config(tmp_path / "c.json", doc), *data]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"error: {name}: unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "hull.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_accepts_integral_numbers_and_json_booleans():
     doc = copy.deepcopy(BASE_HULL_CFG)
     doc["experiment"]["n_max"] = 12.0
@@ -409,6 +430,43 @@ def test_bench_kind_select_redirects(tmp_path, run_cli):
     res = run_cli("bench", "--config", cfg, cwd=tmp_path)
     assert res.returncode == 2
     assert "subcommand" in res.stderr
+
+
+_HALF_NOISE = {"kind": "power-law", "epsilon": 0.5, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command,doc,flags", [
+    ("bench", {"problem": _HALF_NOISE,
+               "experiment": {"kind": "stem", "n_max": 14, "reps": 70, "a": 20.0, "W": 3},
+               "selector": {"methods": ["ure", "rhm"]},
+               "hull": {"samples": 10000, "seed": 2}}, ["--seed", "9"]),
+    ("bench", {"problem": {"kind": "power-law", "epsilon": 2.0, "beta": 2.0},
+               "experiment": {"kind": "efficiency", "n_max": 12, "reps": 30, "a_grid": [1, 10]},
+               "selector": {"methods": ["rhm", "ure"], "alpha": 0.5},
+               "hull": {"samples": 10000, "cache": "hull.json"}}, ["--out", "elsewhere"]),
+    ("select", {"problem": {"kind": "explicit", "values": [0.4, 0.5, 0.9, 1.3, 2.0, 2.2]},
+                "selector": {"methods": ["ure", "rhm"]},
+                "hull": {"samples": 10000}}, []),
+], ids=["stem-ure-rhm-half-noise", "efficiency", "select-explicit"])
+def test_manifest_config_replays_the_run(tmp_path, monkeypatch, command, doc, flags):
+    """The manifest's config, fed back in as the config, is a fixed point and reproduces every output byte."""
+    data = [_data_file(tmp_path, ys=(9.0, 4.1, 3.3, 1.2, 0.5, -0.2))] if command == "select" else []
+
+    def run(name, cfg, extra):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg_path = write_config(tmp_path / f"{name}.json", cfg)
+        assert riskhull.cli.main([command, "--config", cfg_path, *extra, *data]) == 0
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        [manifest] = [json.loads(blob) for path, blob in files.items() if path.endswith("manifest.json")]
+        return manifest, files
+
+    manifest, files = run("first", doc, flags)
+    replayed, replay_files = run("replay", manifest["config"], [])
+    assert replayed["config"] == manifest["config"]
+    assert replay_files == files
+    assert any(path.endswith(".csv") for path in files)
 
 
 def test_thread_count_does_not_change_any_output_byte(tmp_path, run_cli):

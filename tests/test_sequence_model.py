@@ -58,6 +58,32 @@ def test_spec_validation():
         SigmaSpec.explicit([1.0, -2.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SigmaSpec.explicit(["1.5", True, 2]),
+    lambda: SigmaSpec.explicit([1.0, "2"]),
+    lambda: SigmaSpec.explicit([np.bool_(True)]),
+    lambda: SigmaSpec(kind="explicit", values=(1.0, False)),
+    lambda: SigmaSpec.power_law("1", 1.0),
+    lambda: SigmaSpec.power_law(True, 1.0),
+    lambda: SigmaSpec.power_law(1.0, False),
+    lambda: SigmaSpec(kind="power-law", epsilon=1.0, beta="0"),
+], ids=["explicit-mixed", "explicit-str", "explicit-np-bool", "explicit-direct-bool",
+        "epsilon-str", "epsilon-bool", "beta-bool", "beta-str-direct"])
+def test_spec_refuses_strings_and_booleans(make):
+    with pytest.raises(ValueError, match="must be a real number"):
+        make()
+
+
+def test_spec_accepts_ints_floats_and_numpy_reals():
+    spec = SigmaSpec.explicit([1, 2.5, np.float32(3.5), np.int64(4), np.float64(5.5)])
+    assert spec.values == (1.0, 2.5, 3.5, 4.0, 5.5)
+    assert all(type(v) is float for v in spec.values)
+    spec = SigmaSpec.power_law(np.int32(2), np.float64(1.5))
+    assert (spec.epsilon, spec.beta) == (2.0, 1.5)
+    assert type(spec.epsilon) is float and type(spec.beta) is float
+    assert SigmaSpec(kind="power-law", epsilon=1, beta=0) == SigmaSpec.power_law(1.0, 0.0)
+
+
 def test_sigma_values_matches_sigma_at():
     spec = SigmaSpec.power_law(0.7, 2.0)
     vals = sigma_values(spec, 9)
