@@ -31,6 +31,7 @@ bit for bit.  Hull tables for RHM curves must therefore be built for
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -66,6 +67,7 @@ __all__ = [
     "ratio_curve",
     "default_a_grid",
     "default_n_max",
+    "csv_text",
     "write_stem_csv",
     "write_efficiency_csv",
     "write_ratio_csv",
@@ -303,32 +305,31 @@ def ratio_curve(spec: SigmaSpec, hull: HullTable, alpha: float, N_range) -> list
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def csv_text(header: str, rows) -> str:
+    """The CSV text of ``rows`` under the ``header`` line.
+
+    Every output table goes through this one formatter, which fixes its
+    bytes: strings as they are, integers in decimal and reals as the
+    round-trip ``repr(float(x))``.
+    """
+    def cell(x) -> str:
+        return x if isinstance(x, str) else str(int(x)) if isinstance(x, numbers.Integral) else repr(float(x))
+
+    return header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 def write_stem_csv(stem: StemData, path) -> None:
-    lines = ["rep,N_selected,normalized_loss"]
-    for r, (n, loss) in enumerate(zip(stem.selected_N, stem.normalized_loss)):
-        lines.append(f"{r},{int(n)},{_fmt(loss)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(range(stem.selected_N.size), stem.selected_N, stem.normalized_loss)
+    atomic_write_text(path, csv_text("rep,N_selected,normalized_loss", rows))
 
 
 def write_efficiency_csv(curve: EfficiencyCurve, path) -> None:
-    lines = ["a,efficiency,std_error,oracle_N,oracle_risk"]
-    for i in range(curve.a_grid.size):
-        lines.append(
-            f"{_fmt(curve.a_grid[i])},{_fmt(curve.efficiency[i])},{_fmt(curve.std_error[i])},"
-            f"{int(curve.oracle_N[i])},{_fmt(curve.oracle_risk[i])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(curve.a_grid, curve.efficiency, curve.std_error, curve.oracle_N, curve.oracle_risk)
+    atomic_write_text(path, csv_text("a,efficiency,std_error,oracle_N,oracle_risk", rows))
 
 
 def write_ratio_csv(rows, path) -> None:
-    lines = ["N,rho,rho_tilde"]
-    for N, rho, rho_tilde in rows:
-        lines.append(f"{int(N)},{_fmt(rho)},{_fmt(rho_tilde)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, csv_text("N,rho,rho_tilde", rows))
 
 
 def write_manifest(manifest: dict, path) -> None:

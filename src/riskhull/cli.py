@@ -37,6 +37,7 @@ from .bench import (
     DEFAULT_ALPHA,
     DEFAULT_REPS,
     STEM_REPS,
+    csv_text,
     default_a_grid,
     default_n_max,
     efficiency_curve,  # noqa: F401  not called; perfbench's tracer looks it up here
@@ -49,6 +50,7 @@ from .bench import (
     write_ratio_csv,
     write_stem_csv,
 )
+from .checks import boolean, checked, list_of, nonneg_int, obj, pos_int, positive, real, text
 from .hull import (
     DEFAULT_SAMPLES,
     HullCacheError,
@@ -95,56 +97,6 @@ class HullMissingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _boolean(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"must be true or false, got {v!r}")
-    return v
-
-
-def _real(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"must be a number, got {v!r}")
-    return float(v)
-
-
-def _text(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"must be a string, got {v!r}")
-    return v
-
-
-def _positive(v) -> float:
-    x = _real(v)
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"must be a positive finite real, got {v}")
-    return x
-
-
-def _integer(lo: int):
-    """Integers >= lo; an integral number such as 1e6 counts, a boolean does not."""
-    def conv(v) -> int:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or (isinstance(v, float) and not v.is_integer()):
-            raise ValueError(f"must be an integer, got {v!r}")
-        if v < lo:
-            raise ValueError(f"must be an integer >= {lo}, got {v}")
-        return int(v)
-
-    return conv
-
-
-_nonneg_int, _pos_int = _integer(0), _integer(1)
-
-
-def _list_of(kind):
-    """A JSON list whose every entry converts with ``kind``."""
-    def conv(v) -> list:
-        if not isinstance(v, list):
-            raise ValueError(f"must be a list, got {v!r}")
-        return [kind(x) for x in v]
-
-    return conv
-
-
 def _methods(v) -> tuple[str, ...]:
     """A method name or a nonempty list of distinct method names."""
     names = [v] if isinstance(v, str) else v
@@ -152,14 +104,6 @@ def _methods(v) -> tuple[str, ...]:
             or len(set(names)) != len(names)):
         raise ValueError(f"must be a nonempty list of distinct names from {_METHODS}, got {v!r}")
     return tuple(names)
-
-
-def _made(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, a ValueError it raises reported against ``section``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
 
 
 _SECTIONS = ("problem", "experiment", "selector", "hull", "output")
@@ -177,44 +121,43 @@ class RunConfig:
     """
 
     def __init__(self, doc: dict, overrides: dict):
-        if not isinstance(doc, dict):
-            raise ConfigError("config: top-level document must be a JSON object")
+        checked("config", obj, doc)
         self.echo: dict = {}
         self.rebuild = bool(overrides.get("rebuild"))
         self.threads = overrides.get("threads", 1)
 
         read = self._reader(doc, "problem")
-        kind = read("kind", _text, required=True)
+        kind = read("kind", text, required=True)
         if kind == "power-law":
-            self.spec = _made("problem", SigmaSpec.power_law, read("epsilon", _positive, required=True),
-                              read("beta", _real, required=True))
+            self.spec = checked("problem", SigmaSpec.power_law, read("epsilon", positive, required=True),
+                                read("beta", real, required=True))
         elif kind == "explicit":
-            self.spec = _made("problem", SigmaSpec.explicit, read("values", _list_of(_positive), required=True))
+            self.spec = checked("problem", SigmaSpec.explicit, read("values", list_of(positive), required=True))
         else:
             raise ConfigError(f"problem.kind: must be 'power-law' or 'explicit', got {kind!r}")
 
         read = self._reader(doc, "experiment")
-        self.kind = read("kind", _text, default="stem")
+        self.kind = read("kind", text, default="stem")
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind: must be one of {_KINDS}, got {self.kind!r}")
-        self.n_max = read("n_max", _pos_int, default=default_n_max(self.spec))
+        self.n_max = read("n_max", pos_int, default=default_n_max(self.spec))
         bound = max_index(self.spec)
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
-        self.reps = read("reps", _pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
-        self.seed = read("seed", _nonneg_int, default=0, override=overrides.get("seed"))
-        self.W = read("W", _positive, default=6.0)
-        self.m = read("m", _positive, default=6.0)
-        self.amplitude = read("a", _real, default=0.0)
+        self.reps = read("reps", pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
+        self.seed = read("seed", nonneg_int, default=0, override=overrides.get("seed"))
+        self.W = read("W", positive, default=6.0)
+        self.m = read("m", positive, default=6.0)
+        self.amplitude = read("a", real, default=0.0)
         if self.amplitude < 0:
             raise ConfigError(f"experiment.a: must be >= 0, got {self.amplitude}")
-        self.a_grid = read("a_grid", _list_of(_real), default=[float(a) for a in default_a_grid()])
+        self.a_grid = read("a_grid", list_of(real), default=[float(a) for a in default_a_grid()])
         if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
             raise ConfigError("experiment.a_grid: must be a nonempty list of nonnegative reals")
 
         read = self._reader(doc, "selector")
         self.methods = read("methods", _methods, default=("ure",))
-        self.alpha = read("alpha", _real, default=DEFAULT_ALPHA)
+        self.alpha = read("alpha", real, default=DEFAULT_ALPHA)
         if self.alpha < 0 or not math.isfinite(self.alpha):
             raise ConfigError(f"selector.alpha: must be a finite real >= 0, got {self.alpha}")
         if "n_max" in (doc.get("selector") or {}):
@@ -222,15 +165,15 @@ class RunConfig:
                               "the bandwidth search")
 
         read = self._reader(doc, "hull")
-        self.mc = _made("hull", McParams, samples=read("samples", _pos_int, default=DEFAULT_SAMPLES),
-                        seed=read("seed", _nonneg_int, default=1),
-                        monotonize=read("monotonize", _boolean, default=True))
-        self.hull_cache = read("cache", _text)
+        self.mc = checked("hull", McParams, samples=read("samples", pos_int, default=DEFAULT_SAMPLES),
+                          seed=read("seed", nonneg_int, default=1),
+                          monotonize=read("monotonize", boolean, default=True))
+        self.hull_cache = read("cache", text)
         if doc.get("hull") is None:
             self.echo["hull"] = None  # no hull section: RHM and ratio runs exit 4
 
         read = self._reader(doc, "output")
-        self.out_dir = read("directory", _text, default="out", override=overrides.get("out") or None)
+        self.out_dir = read("directory", text, default="out", override=overrides.get("out") or None)
 
         for name, sec in doc.items():
             if name not in _SECTIONS:
@@ -246,20 +189,15 @@ class RunConfig:
         missing or null field takes ``default``), then an ``override`` that
         is not None; it records the value in ``echo[name]`` and returns it.
         """
-        sec = {} if doc.get(name) is None else doc[name]
-        if not isinstance(sec, dict):
-            raise ConfigError(f"{name}: must be a JSON object, got {sec!r}")
+        sec = {} if doc.get(name) is None else checked(name, obj, doc[name])
         echo = self.echo[name] = {}
 
         def read(field, kind, default=None, required=False, override=None):
-            val = sec.get(field)
+            val, key = sec.get(field), f"{name}.{field}"
             if val is None and required:
-                raise ConfigError(f"{name}.{field}: required field is missing")
-            try:
-                val = default if val is None else kind(val)
-                echo[field] = val if override is None else kind(override)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}.{field}: {exc}") from exc
+                raise ConfigError(f"{key}: required field is missing")
+            val = default if val is None else checked(key, kind, val)
+            echo[field] = val if override is None else checked(key, kind, override)
             return echo[field]
 
         return read
@@ -416,23 +354,18 @@ def cmd_select(cfg: RunConfig, data_path: str) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     summary = {}
-    results = {}
-    for method in cfg.methods:
-        results[method] = select_ure(obs, n_sel) if method == "ure" else select_rhm(obs, table, cfg.alpha, n_sel)
-
-    sel_lines = ["method,N_selected"]
+    results = {m: select_ure(obs, n_sel) if m == "ure" else select_rhm(obs, table, cfg.alpha, n_sel)
+               for m in cfg.methods}
     for method, res in results.items():
-        sel_lines.append(f"{method},{res.N_selected}")
         est_name = f"estimate_{method}.csv"
-        est_lines = ["k,value"]
-        for k in range(1, obs.n_max + 1):
-            v = float(obs.ys[k - 1]) if k <= res.N_selected else 0.0
-            est_lines.append(f"{k},{v!r}")
-        atomic_write_text(os.path.join(cfg.out_dir, est_name), "\n".join(est_lines) + "\n")
+        est = np.where(np.arange(obs.n_max) < res.N_selected, obs.ys, 0.0)
+        atomic_write_text(os.path.join(cfg.out_dir, est_name),
+                          csv_text("k,value", zip(range(1, obs.n_max + 1), est)))
         outputs.append(est_name)
         summary[method] = {"N_selected": res.N_selected}
         print(f"{method}: N = {res.N_selected}")
-    atomic_write_text(os.path.join(cfg.out_dir, "selection.csv"), "\n".join(sel_lines) + "\n")
+    atomic_write_text(os.path.join(cfg.out_dir, "selection.csv"),
+                      csv_text("method,N_selected", [(m, res.N_selected) for m, res in results.items()]))
     outputs.append("selection.csv")
     _write_manifest(cfg, "select", outputs, summary, table, data_file=os.path.basename(data_path))
     return EXIT_OK

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import boolean, checked, list_of, nonneg_int, obj, pos_int, real, text
 from .sequence_model import (
     SigmaSpec,
     fingerprint,
@@ -401,6 +402,21 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 
 _HULL_FORMAT = "riskhull-hull-v1"
 
+# The hull document: each field and the check of its JSON type.  Every
+# field but "format" and "spec" is the HullTable attribute of its name.
+_HULL_FIELDS = {
+    "format": text,
+    "spec": obj,
+    "spec_fingerprint": text,
+    "N_max": pos_int,
+    "mc_samples": pos_int,
+    "seed": nonneg_int,
+    "monotonized": boolean,
+    "saturated": list_of(pos_int),
+    "U0": list_of(real),
+    "SigmaFourth": list_of(real),
+}
+
 
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` so readers see the old or the new file whole.
@@ -426,44 +442,34 @@ def save_hull_table(table: HullTable, spec: SigmaSpec, path) -> None:
     """Serialize a hull table to JSON, atomically (see :func:`atomic_write_text`)."""
     if fingerprint(spec) != table.spec_fingerprint:
         raise ValueError("spec does not match the table's fingerprint")
-    doc = {
-        "format": _HULL_FORMAT,
-        "spec": spec_to_dict(spec),
-        "spec_fingerprint": table.spec_fingerprint,
-        "N_max": table.N_max,
-        "mc_samples": table.mc_samples,
-        "seed": table.seed,
-        "monotonized": table.monotonized,
-        "saturated": list(table.saturated),
-        "U0": [float(v) for v in table.U0],
-        "SigmaFourth": [float(v) for v in table.SigmaFourth],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {"format": _HULL_FORMAT, "spec": spec_to_dict(spec)}
+    doc.update((name, getattr(table, name)) for name in _HULL_FIELDS if name not in doc)
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:
-    """Load and self-validate a hull table; raises HullCacheError when stale."""
+    """Load and self-validate a hull table, read through ``_HULL_FIELDS``.
+
+    A file that is not the document :func:`save_hull_table` writes raises
+    HullCacheError; one without ``saturated`` has no saturated entry.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise HullCacheError(f"cannot read hull cache {path}: {exc}") from exc
     try:
-        if doc.get("format") != _HULL_FORMAT:
-            raise ValueError(f"unexpected format tag {doc.get('format')!r}")
-        spec = spec_from_dict(doc["spec"])
-        if fingerprint(spec) != doc["spec_fingerprint"]:
+        doc = {"saturated": [], **checked("document", obj, doc)}
+        odd = sorted(doc.keys() ^ _HULL_FIELDS.keys())
+        if odd:
+            raise ValueError(f"{odd[0]}: {'unknown' if odd[0] in doc else 'missing'} field")
+        fields = {name: checked(name, check, doc[name]) for name, check in _HULL_FIELDS.items()}
+        if fields.pop("format") != _HULL_FORMAT:
+            raise ValueError(f"unexpected format tag {doc['format']!r}")
+        spec = checked("spec", spec_from_dict, fields.pop("spec"))
+        if fingerprint(spec) != fields["spec_fingerprint"]:
             raise ValueError("stored fingerprint does not match the stored spec")
-        table = HullTable(
-            N_max=int(doc["N_max"]),
-            U0=np.asarray(doc["U0"], dtype=np.float64),
-            SigmaFourth=np.asarray(doc["SigmaFourth"], dtype=np.float64),
-            spec_fingerprint=doc["spec_fingerprint"],
-            mc_samples=int(doc["mc_samples"]),
-            seed=int(doc["seed"]),
-            monotonized=bool(doc["monotonized"]),
-            saturated=tuple(doc.get("saturated", [])),
-        )
+        table = HullTable(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise HullCacheError(f"hull cache {path} is corrupted: fingerprint/schema mismatch ({exc})") from exc
     return table, spec

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import checked, positive, real
+
 __all__ = [
     "SigmaSpec",
     "Signal",
+    "ZERO_SIGNAL",
     "Observation",
     "sigma_at",
     "sigma_values",
@@ -66,13 +68,6 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _real(v, name: str) -> float:
-    """``v`` as a float; strings and booleans are refused, not converted."""
-    if not isinstance(v, numbers.Real) or isinstance(v, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
-
-
 @dataclass(frozen=True)
 class SigmaSpec:
     """Noise-spectrum specification sigma_k.
@@ -89,11 +84,9 @@ class SigmaSpec:
 
     def __post_init__(self) -> None:
         if self.kind == POWER_LAW:
-            eps, beta = _real(self.epsilon, "epsilon"), _real(self.beta, "beta")
-            if not np.isfinite(eps) or eps <= 0:
-                raise ValueError(f"epsilon must be a positive finite real, got {eps}")
+            eps, beta = checked("epsilon", positive, self.epsilon), checked("beta", real, self.beta)
             if not np.isfinite(beta) or beta < 0:
-                raise ValueError(f"beta must be a nonnegative finite real, got {beta}")
+                raise ValueError(f"beta: must be a nonnegative finite real, got {beta}")
             if self.values is not None:
                 raise ValueError("power-law spec does not take explicit values")
             object.__setattr__(self, "epsilon", eps)
@@ -103,9 +96,7 @@ class SigmaSpec:
                 raise ValueError("explicit spec does not take epsilon/beta")
             if not self.values:
                 raise ValueError("explicit spec needs at least one value")
-            vals = tuple(_real(v, "explicit sigma value") for v in self.values)
-            if any(not np.isfinite(v) or v <= 0 for v in vals):
-                raise ValueError("explicit sigma values must all be positive and finite")
+            vals = tuple(checked("explicit sigma value", positive, v) for v in self.values)
             object.__setattr__(self, "values", vals)
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")

@@ -30,3 +30,18 @@ def cli_env():
         p for p in (root, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+@pytest.fixture(scope="session")
+def malformed_hull_docs():
+    """The malformed variants of a valid hull document ``doc``.
+
+    Each is valid JSON but not the document `save_hull_table` writes: not
+    an object at all, or one field of the wrong JSON type.
+    """
+    def variants(doc):
+        wrong = {"spec": [], "saturated": "12", "monotonized": "false", "seed": True,
+                 "N_max": "12", "mc_samples": 20000.7, "U0": [str(v) for v in doc["U0"]]}
+        return [[], 5, "x", None] + [dict(doc, **{field: v}) for field, v in wrong.items()]
+
+    return variants

@@ -170,16 +170,29 @@ def test_hull_nmax_one(tmp_path, run_cli):
     assert table["U0"] == [0.0]
 
 
-def test_hull_corrupted_cache_exits_3(tmp_path, run_cli):
+def test_hull_corrupted_cache_exits_3(tmp_path, run_cli, monkeypatch, capsys, malformed_hull_docs):
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
     assert run_cli("hull", "--config", cfg, cwd=tmp_path).returncode == 0
-    (tmp_path / "hull.json").write_text("{broken")
+    cache = tmp_path / "hull.json"
+    saved = json.loads(cache.read_text())
+    cache.write_text("{broken")
     res = run_cli("hull", "--config", cfg, cwd=tmp_path)
     assert res.returncode == 3
     assert "hull cache" in res.stderr
 
     rebuilt = run_cli("hull", "--config", cfg, "--rebuild", cwd=tmp_path)
     assert rebuilt.returncode == 0
+
+    # valid JSON of the wrong shape is a corrupt cache too, and is left as it is
+    monkeypatch.chdir(tmp_path)
+    for doc in malformed_hull_docs(saved):
+        cache.write_text(json.dumps(doc))
+        bad = cache.read_bytes()
+        assert riskhull.cli.main(["hull", "--config", cfg]) == 3, doc
+        assert "hull cache" in capsys.readouterr().err
+        assert cache.read_bytes() == bad
+        assert riskhull.cli.main(["hull", "--config", cfg, "--rebuild"]) == 0, doc
+        capsys.readouterr()
 
 
 def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):

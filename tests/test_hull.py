@@ -372,11 +372,18 @@ def test_hull_json_roundtrip(tmp_path):
     assert (loaded.mc_samples, loaded.seed, loaded.monotonized) == (10_000, 5, True)
 
 
-def test_hull_json_rejects_garbage(tmp_path):
+def test_hull_json_rejects_garbage(tmp_path, malformed_hull_docs):
+    import json
+
     path = tmp_path / "hull.json"
     path.write_text("{not json")
     with pytest.raises(HullCacheError):
         load_hull_table(path)
+    save_hull_table(build_hull_table(B1, 4, MC_SMALL), B1, path)
+    for doc in malformed_hull_docs(json.loads(path.read_text())):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HullCacheError):
+            load_hull_table(path)
 
 
 def test_hull_json_rejects_tampered_fingerprint(tmp_path):
