@@ -245,7 +245,8 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec) -> tuple[HullTable, str, 
         table = build_hull_table(uspec, cfg.n_max, cfg.mc, threads=cfg.threads)
     except MemoryError as exc:
         raise MemoryError(
-            f"hull: cannot allocate the {cfg.n_max} x {cfg.mc.samples} float32 path matrix "
+            f"hull: out of memory building the table; the build's worst case, every row kept "
+            f"whole, is the {cfg.n_max} x {cfg.mc.samples} float32 path matrix "
             f"({cfg.n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
         ) from exc
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

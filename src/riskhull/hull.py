@@ -15,11 +15,14 @@ infimum is found by a single suffix-sum scan of the sorted samples.
 
 All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
-Every sampler here is a row selection of that one coupled path matrix:
-a single block kernel draws it in fixed-size blocks with per-block
-Philox streams, so each eta_N sample is the same number whichever
-sampler asks for it, and tables are bit-identical for a given seed
-under any worker count.
+Every sampler here reads rows of that one coupled (N_max, samples) path
+matrix, drawn by a single block kernel in fixed-size blocks with
+per-block Philox streams, so each eta_N sample is the same number
+whichever sampler asks for it.  The table build never holds the matrix:
+it streams the blocks and keeps per N only the samples its crossing
+needs (the largest few thousand where the crossing lies deep in the
+tail), with the same result bit for bit.  Tables are bit-identical for
+a given seed under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -79,6 +82,9 @@ __all__ = [
 MIN_SAMPLES = 10_000
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BLOCK = 65_536
+# the deep route of the streamed hull build (see _scan_rows)
+_TOP_K = 8192
+_MARGIN = 4
 
 
 class HullCacheError(RuntimeError):
@@ -149,32 +155,131 @@ def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
 
 
 def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
-                threads: int = 1) -> np.ndarray:
+                threads: int = 1, block: int | None = None) -> np.ndarray:
     """Rows ``rows`` of the (N_max, samples) float32 normalized eta path matrix.
 
     Row N-1 holds the cumulative eta_N samples.  ``rows`` indexes that
     axis like numpy does: an int gives shape (samples,), a slice or an
-    index array gives (len, samples).  Block b of at most
-    ``_SAMPLE_BLOCK`` replications is generated from the Philox stream
-    (mc.seed, b) and its selected rows are written into a disjoint slice
-    of the output, so the result is independent of the executor schedule.
+    index array gives (len, samples).  Block b, the columns from
+    ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them), is
+    generated from the Philox stream (mc.seed, b).  With ``block=b`` this
+    is the one block kernel: it returns only that block's columns, drawn
+    in the calling thread.  Otherwise ``threads`` workers write every
+    block into a disjoint slice of the output, so the result is
+    independent of the executor schedule.
     """
     w32 = _norm_weights(spec, N_max).astype(np.float32)[:, None]
-    out = np.empty(np.arange(N_max)[rows].shape + (mc.samples,), dtype=np.float32)
-    starts = range(0, mc.samples, _SAMPLE_BLOCK)
 
-    def fill(b: int, start: int) -> None:
-        n = min(_SAMPLE_BLOCK, mc.samples - start)
+    def draw(b: int) -> np.ndarray:
+        n = min(_SAMPLE_BLOCK, mc.samples - b * _SAMPLE_BLOCK)
         x = rng_for(mc.seed, b).standard_normal((N_max, n), dtype=np.float32)
         np.multiply(x, x, out=x)
         x -= np.float32(1.0)
         x *= w32
-        np.add.accumulate(x, axis=0, out=x)
-        out[..., start:start + n] = x[rows]
+        # the cumulative sum over N row by row: the float32 adds of
+        # np.add.accumulate(x, axis=0) in the same order, at a small
+        # fraction of that call's cost
+        for i in range(1, N_max):
+            np.add(x[i], x[i - 1], out=x[i])
+        return x[rows]
+
+    if block is not None:
+        return draw(block)
+    out = np.empty(np.arange(N_max)[rows].shape + (mc.samples,), dtype=np.float32)
+
+    def fill(b: int) -> None:
+        x = draw(b)
+        out[..., b * _SAMPLE_BLOCK:b * _SAMPLE_BLOCK + x.shape[-1]] = x
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(len(starts)), starts))
+        list(pool.map(fill, range(_n_blocks(mc))))
     return out
+
+
+def _n_blocks(mc: McParams) -> int:
+    return -(-mc.samples // _SAMPLE_BLOCK)
+
+
+def _keep_top(kept: np.ndarray, new: np.ndarray, k: int) -> np.ndarray:
+    """The k largest positive values of ``kept`` and ``new`` together.
+
+    All of them when there are fewer than k.  ``kept`` is such a set
+    already (empty at first).  A full set starts with its smallest value,
+    so only values of ``new`` above it can enter.
+    """
+    floor = kept[0] if kept.size == k else 0
+    new = new[new > floor]
+    if new.size == 0:
+        return kept
+    both = np.concatenate((kept, new))
+    if both.size >= k:
+        both.partition(both.size - k)
+        both = both[both.size - k:].copy()  # a view would keep all of both alive
+    return both
+
+
+def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple[list, list[int]]:
+    """:func:`_u0_scan` of every row, from blocks drawn one at a time.
+
+    The path matrix never exists whole: each of ``threads`` workers holds
+    one block of :func:`_fill_paths` at a time, and each row keeps only
+    positive samples, all that the scan reads.  Block 0 routes the rows.
+    A row whose crossing on block 0 is positive and lies among so few
+    top samples that ``_MARGIN`` times their count, scaled to S, fits in
+    ``_TOP_K`` is deep: it keeps only its ``_TOP_K`` largest positive
+    samples.  Every other row (crossing at 0 or in the body) is bulk and
+    keeps every positive sample.  Workers keep their own top sets, merged
+    at the end; a row's samples are one multiset whatever the merge
+    order, so the result does not depend on ``threads``.  Returns the
+    (t, saturated) of each row and the deep rows whose top set is full,
+    which may have dropped positive samples.
+    """
+    k, S, blocks = _TOP_K, mc.samples, _n_blocks(mc)
+    x = _fill_paths(spec, N_max, mc, block=0)
+    n0 = x.shape[1]
+    cols, deep, bulk, firsts = [], [], [], []
+    for r in range(N_max):
+        pos = x[r][x[r] > 0]
+        top = _keep_top(np.empty(0, np.float32), pos, k)
+        # how many of the top samples lie past the crossing on block 0
+        m = int(np.searchsorted(np.cumsum(np.sort(top)[::-1], dtype=np.float64) / n0, 1.0, side="right"))
+        if m < top.size and _MARGIN * (m + 1) * S <= k * n0:
+            deep.append(r)
+            firsts.append(top)
+            cols.append([np.empty(0, np.float32)])
+        else:
+            bulk.append(r)
+            cols.append([pos] + [None] * (blocks - 1))  # the positives of each block
+    del x, pos, top
+    workers = max(1, min(threads, blocks - 1))
+
+    def take(tops: list, b: int) -> None:
+        # x dies when this returns, so a worker holds one block at a time
+        x = _fill_paths(spec, N_max, mc, block=b)
+        for j, r in enumerate(deep):
+            tops[j] = _keep_top(tops[j], x[r], k)
+        for r in bulk:
+            cols[r][b] = x[r][x[r] > 0]
+
+    def work(w: int) -> list:
+        # worker 0 carries the top sets of block 0 on, in place
+        tops = firsts if w == 0 else [np.empty(0, np.float32)] * len(deep)
+        for b in range(1 + w, blocks, workers):
+            take(tops, b)
+        return tops
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for tops in pool.map(work, range(workers)):
+            for j, r in enumerate(deep):
+                cols[r] = [_keep_top(cols[r][0], tops[j], k)]
+    full = [r for r in deep if cols[r][0].size == k]
+    solved = []
+    for r in range(N_max):
+        # a bulk row is joined here and let go after its scan, one at a time
+        col = np.concatenate(cols[r])
+        cols[r] = None
+        solved.append(_u0_scan(col, S))
+    return solved, full
 
 
 def eta_paths_from_noise(spec: SigmaSpec, xi: np.ndarray) -> np.ndarray:
@@ -275,26 +380,33 @@ def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
 
 
 def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1) -> HullTable:
-    """Build the full U0 table from one coupled path matrix.
+    """Build the full U0 table without holding the path matrix.
 
-    Every N shares the same xi draws through cumulative sums.  With
-    ``mc.monotonize`` a running maximum removes downward Monte Carlo
-    wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
-    :func:`hull_table_for`.  Bit-identical output for identical
-    (spec, N_max, mc) regardless of ``threads``.
+    Every N shares the same xi draws through cumulative sums.  Each row is
+    solved by :func:`_u0_scan` on what :func:`_scan_rows` kept of it.
+    ``np.cumsum`` adds from the largest sample down, so on a row's top
+    set every suffix sum has the same rounding as on the whole row, and
+    the root is the same number whenever it lies inside the set: when the
+    scan finds a positive root or saturates, or when the set holds every
+    positive sample.  A row that fails this (its top set gives 0 but
+    dropped samples) is drawn again whole.  With ``mc.monotonize`` a
+    running maximum removes downward Monte Carlo wiggle.  The table is
+    solved for ``unit_spec(spec)`` and rescaled by :func:`hull_table_for`.
+    Bit-identical output for identical (spec, N_max, mc) regardless of
+    ``threads``, and to solving every row of :func:`_fill_paths`.
     """
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    paths = _fill_paths(spec, N_max, mc, threads=threads)
-    u0_norm = np.empty(N_max, dtype=np.float64)
-    saturated = []
-    for N in range(1, N_max + 1):
-        u0_norm[N - 1], sat = _u0_scan(paths[N - 1], mc.samples)
-        if sat:
-            saturated.append(N)
-    del paths
+    solved, full = _scan_rows(spec, N_max, mc, threads)
+    redo = [r for r in full if solved[r] == (0.0, False)]
+    if redo:
+        paths = _fill_paths(spec, redo[-1] + 1, mc, np.array(redo), threads=threads)
+        for row, r in zip(paths, redo):
+            solved[r] = _u0_scan(row, mc.samples)
+    u0_norm = np.array([t for t, _ in solved], dtype=np.float64)
+    saturated = [N for N, (_, sat) in enumerate(solved, 1) if sat]
     if mc.monotonize:
         np.maximum.accumulate(u0_norm, out=u0_norm)
     uspec = unit_spec(spec)

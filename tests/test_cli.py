@@ -196,14 +196,16 @@ def test_hull_corrupted_cache_exits_3(tmp_path, run_cli, monkeypatch, capsys, ma
 
 
 def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise MemoryError
+    class Refuse:
+        def standard_normal(self, *args, **kwargs):
+            raise MemoryError
 
-    monkeypatch.setattr(riskhull.hull, "_fill_paths", refuse)
+    # every build allocates its blocks in the block kernel's draw
+    monkeypatch.setattr(riskhull.hull, "rng_for", lambda *args: Refuse())
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
     assert riskhull.cli.main(["hull", "--config", cfg]) == 2
-    # N_max x samples x 4 bytes = 12 x 20000 x 4
+    # the build's worst case, N_max x samples x 4 bytes = 12 x 20000 x 4
     assert "960,000 bytes" in capsys.readouterr().err
     assert not (tmp_path / "hull.json").exists()
 

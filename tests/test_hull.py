@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from riskhull import (
     u1,
     unit_spec,
 )
+import riskhull.hull
 from riskhull.hull import atomic_write_text, hull_table_for
 
 B0 = SigmaSpec.power_law(1.0, 0.0)
@@ -216,6 +218,70 @@ def test_hull_table_saturation_flags_deep_tail():
     assert table.saturated
     assert 40 in table.saturated
     assert min(table.saturated) > 2  # shallow bandwidths still resolve
+
+
+def _full_matrix_table(spec, N_max, mc):
+    """The reference table: `_u0_scan` on every row of the whole path matrix."""
+    solved = [riskhull.hull._u0_scan(row, mc.samples) for row in riskhull.hull._fill_paths(spec, N_max, mc)]
+    u0 = np.array([t for t, _ in solved])
+    return (np.maximum.accumulate(u0) if mc.monotonize else u0), tuple(
+        N for N, (_, sat) in enumerate(solved, 1) if sat)
+
+
+def _routed_build(monkeypatch, spec, N_max, mc, threads):
+    """build_hull_table with its row routes: (table, bulk, deep, redo) counts.
+
+    A deep row is scanned on at most ``_TOP_K`` samples and a bulk row on
+    all its positive samples (more than ``_TOP_K`` at these sizes); a
+    redone row is scanned once more, after every row.
+    """
+    sizes = []
+    scan = riskhull.hull._u0_scan
+    monkeypatch.setattr(riskhull.hull, "_u0_scan", lambda col, n: (sizes.append(col.size), scan(col, n))[1])
+    table = build_hull_table(spec, N_max, mc, threads=threads)
+    monkeypatch.setattr(riskhull.hull, "_u0_scan", scan)
+    bulk = sum(size > riskhull.hull._TOP_K for size in sizes[:N_max])
+    return table, bulk, N_max - bulk, len(sizes) - N_max
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("monotonize", [True, False])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed):
+    # Seven blocks, so four workers share them; the forced routes keep 64
+    # samples per deep row and send every row with a crossing in its top
+    # 64 on block 0 deep, which leaves some of them to be redone.
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 16_384)
+    spec, N_max = SigmaSpec.power_law(1.0, beta), 30
+    mc = McParams(samples=100_000, seed=seed, monotonize=monotonize)
+    u0, saturated = _full_matrix_table(spec, N_max, mc)
+    routes = []
+    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, 0)):
+        monkeypatch.setattr(riskhull.hull, "_TOP_K", top_k)
+        monkeypatch.setattr(riskhull.hull, "_MARGIN", margin)
+        for threads in (1, 4):
+            table, *counts = _routed_build(monkeypatch, spec, N_max, mc, threads)
+            assert np.array_equal(table.U0, u0), (top_k, threads)
+            assert table.saturated == saturated, (top_k, threads)
+            routes.append(counts)
+    default, default4, forced, forced4 = routes  # (bulk, deep, redo) rows
+    assert default == default4 and forced == forced4
+    assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: bulk
+    if beta > 0:  # at beta = 0 every crossing lies in the body
+        assert default[1] > 0 and forced[2] > 0
+
+
+def test_streamed_build_holds_under_half_the_path_matrix():
+    # tracemalloc counts numpy's allocations: one 52 MB block and the kept
+    # samples, where the whole path matrix would be 160 MB
+    N_max, samples = 200, 200_000
+    tracemalloc.start()
+    try:
+        build_hull_table(B1, N_max, McParams(samples=samples, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N_max * samples * 4 / 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])
