@@ -38,6 +38,8 @@ __all__ = [
     "spec_from_dict",
     "rng_for",
     "derive_seed",
+    "stream_keys",
+    "normal_rows",
     "make_observation",
     "simulate",
     "signal_family",
@@ -52,7 +54,9 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
 
     Distinct stream tuples give statistically independent Philox streams;
     the mapping is a pure function of (seed, stream), independent of
-    thread count or call order.
+    thread count or call order.  Its block form is ``normal_rows(
+    stream_keys(seed, first, rows), n, out)``: row i draws what
+    ``rng_for(derive_seed(seed, first + i)).standard_normal(n)`` draws.
     """
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -66,6 +70,111 @@ def derive_seed(seed: int, *stream: int) -> int:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=stream)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), over uint32 words
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]  # words that word s mixes into
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The column of hash constants init * mult**j mod 2**32, j = 0..count."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words)`` of every column of ``entropy``.
+
+    ``entropy`` is a ``(words, rows)`` uint32 array; the result is
+    ``(n_words, rows)``.  numpy's hashmix calls run one after the other
+    with constants that depend on the call's position only, so every call
+    that updates a different pool word is one array operation here, and
+    all arithmetic wraps modulo 2**32 as numpy's does.
+    """
+    head, extra = entropy[:_POOL], entropy[_POOL:]
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
+    j = 0
+
+    def hashmix(value: np.ndarray, calls: int) -> np.ndarray:
+        nonlocal j
+        value = (value ^ h[j:j + calls]) * h[j + 1:j + calls + 1]
+        j += calls
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> np.uint32(16))
+
+    # a missing entropy word hashes as a zero one
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(head)] = head
+    pool = hashmix(pool, _POOL)
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for word in extra:
+        pool = mix(pool, hashmix(word, _POOL))
+    g = _hash_consts(_INIT_B, _MULT_B, n_words)
+    state = (pool[np.arange(n_words) % _POOL] ^ g[:-1]) * g[1:]
+    return state ^ (state >> np.uint32(16))
+
+
+def stream_keys(seed: int, first: int, rows: int) -> np.ndarray:
+    """Philox keys of the streams ``rng_for(derive_seed(seed, r))``, r = first..first+rows-1.
+
+    Row i of the ``(rows, 2)`` uint64 result is
+    ``SeedSequence(derive_seed(seed, first + i)).generate_state(2)``,
+    computed as numpy's hash in uint32 arithmetic over the whole block.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if first < 0 or rows < 0 or first + rows > 2**32:
+        raise ValueError(f"stream indices {first}..{first + rows - 1} must lie in 0..2**32 - 1")
+    # SeedSequence(seed, spawn_key=(r,)): the seed's words, zero-padded to
+    # the pool size, then r
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    entropy = np.empty((len(words) + 1, rows), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(first, first + rows, dtype=np.int64)
+    return _philox_keys(_hash_words(entropy, 2))
+
+
+def _philox_keys(child: np.ndarray) -> np.ndarray:
+    """``SeedSequence(c).generate_state(2)`` of each child seed c, as ``(rows, 2)`` uint64.
+
+    ``child`` holds the low and the high word of each c in its two rows,
+    as derive_seed's ``generate_state(1, np.uint64)`` lays them out.  A
+    c below 2**32 has one entropy word, but a missing word hashes as a
+    zero one, so [low, high] is the entropy of every child seed.
+    """
+    return _hash_words(child, 2).T.astype(np.uint64)
+
+
+def normal_rows(keys: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Fill row i of ``out`` with ``n`` standard normals from the Philox key ``keys[i]``.
+
+    Each row is the draw of a fresh ``Philox(key=keys[i])``: one bit
+    generator is re-keyed per row through its ``state``, with the counter
+    at zero and an empty buffer.  Nothing outlives the call.  The rows of
+    ``out`` must be C-contiguous float64, as ``standard_normal(out=)`` needs.
+    """
+    bitgen = np.random.Philox(0)  # its seeding is overwritten by the first row's key
+    gen = np.random.Generator(bitgen)
+    inner = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i, key in enumerate(keys.tolist()):
+        inner["key"] = key
+        bitgen.state = state
+        gen.standard_normal(n, out=out[i])
+    return out
 
 
 @dataclass(frozen=True)

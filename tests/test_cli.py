@@ -386,20 +386,20 @@ def test_bench_seed_flag_overrides_config(tmp_path, run_cli):
 
 
 def test_bench_stem_methods_share_one_draw_per_replication(tmp_path, monkeypatch):
-    calls = []
-    rng_for = riskhull.bench.rng_for
+    rows = []
+    normal_rows = riskhull.bench.normal_rows
 
-    def counted(*args):
-        calls.append(args)
-        return rng_for(*args)
+    def counted(keys, n, out):
+        rows.extend(map(tuple, keys))
+        return normal_rows(keys, n, out)
 
-    monkeypatch.setattr(riskhull.bench, "rng_for", counted)
+    monkeypatch.setattr(riskhull.bench, "normal_rows", counted)
     monkeypatch.chdir(tmp_path)
     doc = dict(_stem_cfg(reps=100), selector={"methods": ["ure", "rhm"]},
                hull={"samples": 10000, "seed": 1})
     cfg = write_config(tmp_path / "c.json", doc)
     assert riskhull.cli.main(["bench", "--config", cfg]) == 0
-    assert len(calls) == 100
+    assert len(rows) == 100
     assert (tmp_path / "out" / "stem_rhm.csv").exists()
 
 

@@ -109,12 +109,17 @@ def test_oracle_risk_family_golden():
 
 
 def test_oracle_risk_is_pointwise_projection_risk():
-    sig = Signal([3.0, 1.0, 0.5])
-    spec = SigmaSpec.power_law(0.5, 1.0)
-    curve = oracle_risk(sig, spec, 6)
-    for N in range(1, 7):
-        assert curve.values[N - 1] == projection_risk(sig, spec, N)
-    assert curve.min_value == min(curve.values)
+    # signals shorter than, as long as and longer than N_max = 200
+    signals = [Signal([3.0, 1.0, 0.5])] + [
+        signal_family(a, 6.0, 6.0, 0.5, length)
+        for a in (0.5, 20.0, 500.0) for length in (50, 200, 300)]
+    for beta in (0.0, 0.5, 1.0, 2.0):
+        spec = SigmaSpec.power_law(0.5, beta)
+        for sig in signals:
+            curve = oracle_risk(sig, spec, 200)
+            for N in range(1, 201):
+                assert curve.values[N - 1] == projection_risk(sig, spec, N)
+            assert curve.min_value == min(curve.values)
 
 
 def test_oracle_risk_smallest_tie():

@@ -13,6 +13,7 @@ from riskhull import (
     derive_seed,
     fingerprint,
     make_observation,
+    rng_for,
     sigma_at,
     sigma_values,
     signal_family,
@@ -21,6 +22,7 @@ from riskhull import (
     spec_to_dict,
     unit_spec,
 )
+from riskhull.sequence_model import _philox_keys, normal_rows, stream_keys
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,54 @@ def test_derive_seed_distinct_streams():
     seeds = {derive_seed(7, i) for i in range(100)}
     assert len(seeds) == 100
     assert derive_seed(7, 3) == derive_seed(7, 3)
+
+
+# The block form of the stream layout against numpy's SeedSequence: seeds
+# of one to five 32-bit words, and one derive_seed output (the efficiency
+# sweep's inner seeds are 64-bit).
+STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 12345678901234567, 2**128 + 3,
+                derive_seed(2024, 3)]
+
+
+def _reference_keys(seed, first, rows):
+    return np.array([np.random.SeedSequence(derive_seed(seed, r)).generate_state(2)
+                     for r in range(first, first + rows)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_keys_match_seed_sequence(seed):
+    keys = stream_keys(seed, 0, 300)
+    assert keys.dtype == np.uint64 and keys.shape == (300, 2)
+    assert np.array_equal(keys, _reference_keys(seed, 0, 300))
+    assert np.array_equal(stream_keys(seed, 1000, 37), _reference_keys(seed, 1000, 37))
+
+
+def test_stream_keys_of_child_seeds():
+    # A child seed below 2**32 turns up about once in 2**32 rows, so the
+    # child-seed -> key stage is checked on chosen children directly.
+    children = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    words = np.array([[c & 0xFFFFFFFF for c in children], [c >> 32 for c in children]],
+                     dtype=np.uint32)
+    expected = [np.random.SeedSequence(c).generate_state(2) for c in children]
+    assert np.array_equal(_philox_keys(words), np.array(expected, dtype=np.uint64))
+
+
+def test_stream_keys_rejects_wide_stream_indices():
+    assert stream_keys(3, 2**32 - 2, 2).shape == (2, 2)
+    with pytest.raises(ValueError):
+        stream_keys(3, 2**32 - 2, 3)
+    with pytest.raises(ValueError):
+        stream_keys(-1, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_normal_rows_match_rng_for(n):
+    seed, first, rows = derive_seed(11, 4), 64, 9
+    out = np.empty((rows, n))
+    assert normal_rows(stream_keys(seed, first, rows), n, out) is out
+    for i in range(rows):
+        expected = rng_for(derive_seed(seed, first + i)).standard_normal(n)
+        assert np.array_equal(out[i], expected)
 
 
 @pytest.mark.slow
