@@ -18,13 +18,19 @@ records of one ``stem_experiments`` call.  The stream layout is
 the one of ``simulate`` per replication, as above, so the
 blocked engine reproduces the per-replication results bit for bit.  The
 block bounds the engine's working set to a few matrices of 64 x n_max.
-A block's draws are ``normal_rows(stream_keys(seed, start, rows), ...)``:
-the rows' Philox keys are hashed in one array pass and one Philox is
-re-keyed per row, so stream set-up is no longer most of the loop's cost.
-At n_max = 200 (one core of a 2-core x86 machine) a row costs about
-4 us of key hashing and 10 us of re-keying and drawing, of which the
-draw itself is about 6 us; selecting with URE and RHM takes about 4 us
-and the two losses about 3 us.
+A block's draws are ``normal_rows(keys, ...)``, one Philox re-keyed per
+row, with the keys of up to ``_KEY_CHUNK`` rows hashed by one
+``stream_keys`` call (once per run for reps <= 4096).  Work that does
+not depend on the draws runs once per run: the selectors' checks
+against the spectrum, before the first draw, and theta^2.  Per block,
+one ``ure_energy`` matrix over the largest N_max serves every selector,
+each reading its own prefix.  At n_max = 200 and 1,000 reps (one core
+of a 2-core x86 machine) a row costs about 0.4 us of key hashing and
+8-10 us of re-keying and drawing, of which the draw itself is about
+6 us; forming y and the residuals takes about 1.3 us, selecting with
+URE and RHM about 2.2 us and the two losses about 2.5 us.  The engine runs
+in one thread: its numpy calls are short, and two threads splitting the
+amplitudes of an efficiency sweep measured slower than one under the GIL.
 
 Efficiency curves are evaluated with the spectrum rescaled to sigma_1 = 1
 and the signal family built at unit noise level.  Bandwidth selection and
@@ -48,7 +54,7 @@ import numpy as np
 # looks them up on this module.
 from .estimators import oracle_risk, project, squared_loss  # noqa: F401
 from .hull import HullTable, atomic_write_text, check_hull_spec, penalty_ratio
-from .selectors import Selector, rhm_selector, ure_selector
+from .selectors import Selector, rhm_selector, ure_energy, ure_selector
 from .sequence_model import (
     SigmaSpec,
     Signal,
@@ -87,6 +93,7 @@ DEFAULT_REPS = 10_000
 STEM_REPS = 2_000
 DEFAULT_ALPHA = 1.1
 _REP_BLOCK = 64  # replications per engine block; see the module docstring
+_KEY_CHUNK = 4096  # rows per stream_keys call, bounding its ~100 B per row of temporaries
 
 
 def default_n_max(spec: SigmaSpec) -> int:
@@ -106,43 +113,64 @@ def default_a_grid(num: int = 20, lo: float = 0.5, hi: float = 500.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _key_blocks(seed: int, reps: int):
+    """(first row, Philox keys) of each engine block of rows 0..reps-1 of ``seed``.
+
+    Keys are hashed ``_KEY_CHUNK`` rows at a time, once per run for
+    reps <= _KEY_CHUNK, and handed out ``_REP_BLOCK`` rows at a time.
+    """
+    for first in range(0, reps, _KEY_CHUNK):
+        keys = stream_keys(seed, first, min(_KEY_CHUNK, reps - first))
+        for lo in range(0, len(keys), _REP_BLOCK):
+            yield first + lo, keys[lo:lo + _REP_BLOCK]
+
+
 def _replicate(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
                reps: int, n_max: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Selected bandwidths and squared losses of every selector over ``reps`` draws.
 
     Row r of a block is the draw that ``simulate(spec, signal, n_max,
     derive_seed(seed, r))`` makes, and every selector sees the same rows.
-    The loss of a row is ``squared_loss(project(obs, N), signal)`` bit for
-    bit: its terms are summed over a slice of length ``max(N, len(signal))``.
+    Each selector picks from one shared ``ure_energy`` matrix over the
+    largest N_max.  The loss of a row is ``squared_loss(project(obs, N),
+    signal)`` bit for bit: its terms are summed over a slice of length
+    ``max(N, len(signal))``.  Every selector is checked against ``spec``
+    and ``n_max`` before the first draw.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    for sel in selectors:
+        sel.check(spec, n_max)
     L = len(signal)
     width = max(n_max, L)  # a signal longer than n_max adds its tail to every loss
     theta = signal.padded(width)
+    theta2 = theta**2  # the loss term past N, (-theta)**2
     kept = theta[:n_max]
     sig = sigma_values(spec, n_max)
+    sig2 = sig[:max((sel.N_max for sel in selectors), default=0)] ** 2
     cols = np.arange(width)
     out = [(np.empty(reps, dtype=np.int64), np.empty(reps)) for _ in selectors]
     xi = np.empty((_REP_BLOCK, n_max))
     resid = np.zeros((_REP_BLOCK, width))
-    for start in range(0, reps, _REP_BLOCK):
-        rows = min(_REP_BLOCK, reps - start)
-        normal_rows(stream_keys(seed, start, rows), n_max, xi[:rows])
+    for start, keys in _key_blocks(seed, reps):
+        rows = len(keys)
+        normal_rows(keys, n_max, xi[:rows])
         Y = kept + sig * xi[:rows]
         if not np.all(np.isfinite(Y)):
             raise ValueError("observation entries must all be finite")
         resid[:rows, :n_max] = Y - kept
+        resid2 = resid[:rows] ** 2
+        energy = ure_energy(Y[:, :sig2.size], sig2)
         block = slice(start, start + rows)
         for sel, (selected, losses) in zip(selectors, out):
-            N = sel.select_rows(Y, spec)
+            N = sel.pick(energy)
             selected[block] = N
-            # estimate minus truth: y - theta up to N, -theta past it
-            sq = np.where(cols < N[:, None], resid[:rows], -theta) ** 2
+            # (estimate minus truth)**2: (y - theta)**2 up to N, theta**2 past it
+            sq = np.where(cols < N[:, None], resid2, theta2)
             n = np.maximum(N, L)
             for k in np.flatnonzero(np.bincount(n)):
                 hit = n == k
-                losses[block][hit] = np.sum(sq[hit, :k], axis=1)
+                losses[block][hit] = sq[hit, :k].sum(axis=1)
     return out
 
 

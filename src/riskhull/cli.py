@@ -13,7 +13,9 @@ field reads is a config error.  Every run writes a manifest whose
 ``config`` is the fully resolved config: fed back in as the config
 document, it replays the run and reproduces its outputs bit for bit.
 ``--threads`` only bounds hull-construction workers and never changes
-any output byte.
+any output byte.  The replication engine behind ``bench`` runs in one
+thread: its blocks are short numpy calls under the GIL, and threads
+measured slower.
 
 Exit codes: 0 success, 2 config or input error (a refused memory
 allocation included), 3 I/O or stale/corrupt cache, 4 hull table
@@ -443,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
-        p.add_argument("--threads", type=int, default=1, help="worker bound for hull construction")
+        p.add_argument("--threads", type=int, default=1, help="worker bound for hull construction (the replication engine is single-threaded)")
         p.add_argument("--out", default=None, help="override output.directory")
         p.add_argument("--rebuild", action="store_true", help="ignore and replace any hull cache")
         if name == "select":

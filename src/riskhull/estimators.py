@@ -87,7 +87,8 @@ def oracle_risk(signal: Signal, spec: SigmaSpec, N_max: int) -> RiskCurve:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
     c2 = signal.coeffs**2
     s2 = sigma_values(spec, N_max) ** 2
-    values = np.array([float(np.sum(c2[N:])) + float(np.sum(s2[:N])) for N in range(1, N_max + 1)])
+    # ndarray.sum is np.sum's add.reduce without its dispatch
+    values = np.array([float(c2[N:].sum()) + float(s2[:N].sum()) for N in range(1, N_max + 1)])
     idx = int(np.argmin(values))
     return RiskCurve(values=values, argmin_N=idx + 1, min_value=float(values[idx]))
 

@@ -4,9 +4,11 @@ A bandwidth rule is its penalty: every selector minimizes, over
 N = 1..N_max, -sum_{k<=N} y_k^2 + 2 * sum_{k<=N} sigma_k^2 + pen(N).
 URE has pen = 0, RHM pen = (1 + alpha) * U0 (:func:`riskhull.hull.rhm_penalty`),
 a fixed bandwidth N pen = 0 at N and +inf elsewhere.  Ties break to the
-smallest bandwidth.  One kernel, :meth:`Selector.objective`, evaluates
-every row of a matrix of observations in one cumulative pass; one
-observation is the one-row case.
+smallest bandwidth.  One kernel, :func:`ure_energy`, evaluates the
+penalty-free part of every row of a matrix of observations in one
+cumulative pass; one observation is the one-row case.  Its prefixes are
+exact, so one energy matrix over the largest N_max serves every rule
+(:meth:`Selector.pick`), as the replication engine uses it.
 
 A note on alpha: the risk bound behind RHM asks for alpha > 1, and the
 benchmark default is 1.1.  Any alpha >= 0 is accepted here; alpha = 0
@@ -27,6 +29,7 @@ from .sequence_model import Observation, SigmaSpec, sigma_values
 __all__ = [
     "SelectorResult",
     "Selector",
+    "ure_energy",
     "penalized_objective",
     "select_ure",
     "select_rhm",
@@ -73,23 +76,35 @@ class Selector:
         pen.flags.writeable = False
         object.__setattr__(self, "pen", pen)
 
+    def check(self, spec: SigmaSpec, n_max: int) -> None:
+        """Raise ValueError unless the rule applies to observations of ``spec`` with n_max entries.
+
+        A rule built from a hull table needs that table's spectrum (else
+        the cache is stale), and N_max must lie in 1..n_max.
+        """
+        if self.hull is not None:
+            check_hull_spec(self.hull, spec, "the observation's spec")
+        if not 1 <= self.N_max <= n_max:
+            raise ValueError(f"N_max={self.N_max} outside 1..{n_max}")
+
     def objective(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
         """Objective -cumsum(y^2) + 2*cumsum(sigma^2) + pen of every row of Y.
 
         ``Y`` holds observations of the spectrum ``spec``; row r, column
         N-1 of the result is the objective of row r at bandwidth N.
         """
-        if self.hull is not None:
-            check_hull_spec(self.hull, spec, "the observation's spec")
-        if not 1 <= self.N_max <= Y.shape[1]:
-            raise ValueError(f"N_max={self.N_max} outside 1..{Y.shape[1]}")
-        Y = Y[:, :self.N_max]
-        sig2 = sigma_values(spec, self.N_max) ** 2
-        obj = np.cumsum(Y * Y, axis=1)
-        # 2*cumsum(sig2) - c rounds exactly like -c + 2*cumsum(sig2)
-        np.subtract(2.0 * np.cumsum(sig2), obj, out=obj)
+        self.check(spec, Y.shape[1])
+        obj = ure_energy(Y[:, :self.N_max], sigma_values(spec, self.N_max) ** 2)
         obj += self.pen
         return obj
+
+    def pick(self, energy: np.ndarray) -> np.ndarray:
+        """Selected N (1-based, int64) of every row of a :func:`ure_energy` matrix.
+
+        ``energy`` may cover more than N_max bandwidths; the rule reads its
+        first N_max columns, which equal the energy of the truncated rows.
+        """
+        return np.argmin(energy[:, :self.N_max] + self.pen, axis=1) + 1
 
     def select_rows(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
         """Selected N (1-based, int64) of every row of ``Y``: the smallest minimizer."""
@@ -98,6 +113,18 @@ class Selector:
     def __call__(self, obs: Observation) -> SelectorResult:
         obj = self.objective(obs.ys[None, :], obs.sigma)[0]
         return SelectorResult(N_selected=int(np.argmin(obj)) + 1, objective_values=obj, method=self.method)
+
+
+def ure_energy(Y: np.ndarray, sig2: np.ndarray) -> np.ndarray:
+    """The URE objective without a penalty, 2*cumsum(sigma^2) - cumsum(y^2), of every row of Y.
+
+    ``sig2`` holds sigma_k^2 of Y's columns.  Both sums are cumulative, so
+    the first N columns of the result do not depend on later columns.
+    """
+    obj = np.cumsum(Y * Y, axis=1)
+    # 2*cumsum(sig2) - c rounds exactly like -c + 2*cumsum(sig2)
+    np.subtract(2.0 * np.cumsum(sig2), obj, out=obj)
+    return obj
 
 
 def penalized_objective(obs: Observation, pen: Callable[[int], float], N: int) -> float:

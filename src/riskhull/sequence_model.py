@@ -167,8 +167,9 @@ def normal_rows(keys: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """
     bitgen = np.random.Philox(0)  # its seeding is overwritten by the first row's key
     gen = np.random.Generator(bitgen)
-    inner = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
-    state = {"bit_generator": "Philox", "state": inner, "buffer": np.zeros(4, dtype=np.uint64),
+    # Python int lists: the state setter reads them faster than uint64 arrays
+    inner = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, key in enumerate(keys.tolist()):
         inner["key"] = key

@@ -36,9 +36,11 @@ from riskhull import (
     unit_spec,
     ure_selector,
 )
+import riskhull.bench
 from riskhull.bench import (
     default_a_grid,
     default_n_max,
+    stem_experiments,
     write_efficiency_csv,
     write_manifest,
     write_ratio_csv,
@@ -237,6 +239,49 @@ def test_engine_matches_reference_loop(engine_hull, reps, signal_name, method):
     want_N, want_loss = _reference_stem(ENGINE_SPEC, signal, select, reps, n_max, seed=31)
     assert np.array_equal(stem.selected_N, want_N)
     assert np.array_equal(stem.normalized_loss, want_loss)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("chunk", [5, 48])
+def test_engine_rows_do_not_depend_on_block_or_key_chunk(engine_hull, monkeypatch, block, chunk):
+    # 130 reps cross several key chunks and end in a partial one
+    monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", block)
+    monkeypatch.setattr(riskhull.bench, "_KEY_CHUNK", chunk)
+    n_max, reps = ENGINE_N_MAX, 130
+    signal = signal_family(20.0, 6.0, 2.0, 0.7, n_max + 9)
+    selectors = [ure_selector(n_max), rhm_selector(engine_hull, 1.1, n_max)]
+    selects = [lambda obs: select_ure(obs, n_max).N_selected,
+               lambda obs: select_rhm(obs, engine_hull, 1.1, n_max).N_selected]
+    stems = stem_experiments(ENGINE_SPEC, signal, selectors, reps, n_max, seed=31)
+    for stem, select in zip(stems, selects):
+        want_N, want_loss = _reference_stem(ENGINE_SPEC, signal, select, reps, n_max, seed=31)
+        assert np.array_equal(stem.selected_N, want_N)
+        assert np.array_equal(stem.normalized_loss, want_loss)
+
+
+def test_engine_mixed_n_max_selectors_match_solo_runs(engine_hull):
+    # the selectors share one energy matrix over the largest N_max
+    signal = signal_family(20.0, 6.0, 6.0, 0.7, ENGINE_N_MAX)
+    selectors = [ure_selector(30), rhm_selector(engine_hull, 1.1, 30), fixed_selector(5), ure_selector(12)]
+    together = stem_experiments(ENGINE_SPEC, signal, selectors, 130, ENGINE_N_MAX, seed=9)
+    for selector, stem in zip(selectors, together):
+        alone = stem_experiment(ENGINE_SPEC, signal, selector, 130, ENGINE_N_MAX, seed=9)
+        assert np.array_equal(stem.selected_N, alone.selected_N)
+        assert np.array_equal(stem.normalized_loss, alone.normalized_loss)
+
+
+def test_engine_checks_selectors_before_any_draw(engine_hull, monkeypatch):
+    calls = []
+    draw = riskhull.bench.normal_rows
+    monkeypatch.setattr(riskhull.bench, "normal_rows", lambda *a: calls.append(a) or draw(*a))
+    stale = rhm_selector(engine_hull, 1.1, ENGINE_N_MAX)
+    with pytest.raises(ValueError, match="stale"):
+        stem_experiment(INV, ZERO_SIGNAL, stale, 70, ENGINE_N_MAX, seed=1)
+    with pytest.raises(ValueError, match="N_max"):
+        stem_experiment(ENGINE_SPEC, ZERO_SIGNAL, ure_selector(ENGINE_N_MAX + 1), 70, ENGINE_N_MAX, seed=1)
+    assert calls == []
+    stem_experiment(ENGINE_SPEC, ZERO_SIGNAL, stale, 70, ENGINE_N_MAX, seed=1)
+    assert len(calls) == 2  # the wrapper sees the draws of a valid run
 
 
 def test_engine_does_not_import_numpy_ma(cli_env):
