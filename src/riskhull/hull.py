@@ -20,9 +20,9 @@ matrix, drawn by a single block kernel in fixed-size blocks with
 per-block Philox streams, so each eta_N sample is the same number
 whichever sampler asks for it.  The table build never holds the matrix:
 it streams the blocks and keeps per N only the samples its crossing
-needs (the largest few thousand where the crossing lies deep in the
-tail), with the same result bit for bit.  Tables are bit-identical for
-a given seed under any worker count.
+needs (those above a floor set on block 0 where the crossing lies deep
+in the tail), with the same result bit for bit.  Tables are
+bit-identical for a given seed under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -82,7 +82,7 @@ __all__ = [
 MIN_SAMPLES = 10_000
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BLOCK = 65_536
-# the deep route of the streamed hull build (see _scan_rows)
+# the floors of the streamed hull build (see _scan_rows)
 _TOP_K = 8192
 _MARGIN = 4
 
@@ -200,86 +200,51 @@ def _n_blocks(mc: McParams) -> int:
     return -(-mc.samples // _SAMPLE_BLOCK)
 
 
-def _keep_top(kept: np.ndarray, new: np.ndarray, k: int) -> np.ndarray:
-    """The k largest positive values of ``kept`` and ``new`` together.
-
-    All of them when there are fewer than k.  ``kept`` is such a set
-    already (empty at first).  A full set starts with its smallest value,
-    so only values of ``new`` above it can enter.
-    """
-    floor = kept[0] if kept.size == k else 0
-    new = new[new > floor]
-    if new.size == 0:
-        return kept
-    both = np.concatenate((kept, new))
-    if both.size >= k:
-        both.partition(both.size - k)
-        both = both[both.size - k:].copy()  # a view would keep all of both alive
-    return both
-
-
 def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple[list, list[int]]:
     """:func:`_u0_scan` of every row, from blocks drawn one at a time.
 
-    The path matrix never exists whole: each of ``threads`` workers holds
-    one block of :func:`_fill_paths` at a time, and each row keeps only
-    positive samples, all that the scan reads.  Block 0 routes the rows.
-    A row whose crossing on block 0 is positive and lies among so few
-    top samples that ``_MARGIN`` times their count, scaled to S, fits in
-    ``_TOP_K`` is deep: it keeps only its ``_TOP_K`` largest positive
-    samples.  Every other row (crossing at 0 or in the body) is bulk and
-    keeps every positive sample.  Workers keep their own top sets, merged
-    at the end; a row's samples are one multiset whatever the merge
-    order, so the result does not depend on ``threads``.  Returns the
-    (t, saturated) of each row and the deep rows whose top set is full,
-    which may have dropped positive samples.
+    The path matrix never exists whole: ``threads`` workers each hold one
+    block of :func:`_fill_paths` at a time, and each row keeps of every
+    block only its samples above the row's floor, set once on block 0.
+    With R = ``_TOP_K * n0 // S`` (block 0 has n0 of the S samples), a
+    row whose crossing on block 0 is positive and lies among its top
+    R / ``_MARGIN`` samples takes block 0's (R+1)-th largest positive
+    sample as its floor and so keeps about ``_TOP_K`` samples; every
+    other row (crossing at 0 or in the body) has floor 0 and keeps every
+    positive sample, all that the scan reads.  Block b's samples go to
+    slot b of each row, so the result does not depend on ``threads``.
+    Returns the (t, saturated) of each row and the rows with a positive
+    floor, which dropped positive samples.
     """
-    k, S, blocks = _TOP_K, mc.samples, _n_blocks(mc)
+    S, blocks = mc.samples, _n_blocks(mc)
     x = _fill_paths(spec, N_max, mc, block=0)
     n0 = x.shape[1]
-    cols, deep, bulk, firsts = [], [], [], []
-    for r in range(N_max):
-        pos = x[r][x[r] > 0]
-        top = _keep_top(np.empty(0, np.float32), pos, k)
+    rank = _TOP_K * n0 // S
+    floors = []
+    for row in x:
+        top = np.sort(row[row > 0])[::-1]
         # how many of the top samples lie past the crossing on block 0
-        m = int(np.searchsorted(np.cumsum(np.sort(top)[::-1], dtype=np.float64) / n0, 1.0, side="right"))
-        if m < top.size and _MARGIN * (m + 1) * S <= k * n0:
-            deep.append(r)
-            firsts.append(top)
-            cols.append([np.empty(0, np.float32)])
-        else:
-            bulk.append(r)
-            cols.append([pos] + [None] * (blocks - 1))  # the positives of each block
-    del x, pos, top
-    workers = max(1, min(threads, blocks - 1))
+        m = int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n0, 1.0, side="right"))
+        floors.append(top[rank] if m < top.size and _MARGIN * (m + 1) <= rank < top.size else 0)
+    del row, top  # a view left bound would keep all of block 0 alive
+    cols = [[None] * blocks for _ in range(N_max)]
 
-    def take(tops: list, b: int) -> None:
-        # x dies when this returns, so a worker holds one block at a time
-        x = _fill_paths(spec, N_max, mc, block=b)
-        for j, r in enumerate(deep):
-            tops[j] = _keep_top(tops[j], x[r], k)
-        for r in bulk:
-            cols[r][b] = x[r][x[r] > 0]
+    def keep(b: int, x: np.ndarray) -> None:
+        for r, row in enumerate(x):
+            cols[r][b] = row[row > floors[r]]
 
-    def work(w: int) -> list:
-        # worker 0 carries the top sets of block 0 on, in place
-        tops = firsts if w == 0 else [np.empty(0, np.float32)] * len(deep)
-        for b in range(1 + w, blocks, workers):
-            take(tops, b)
-        return tops
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for tops in pool.map(work, range(workers)):
-            for j, r in enumerate(deep):
-                cols[r] = [_keep_top(cols[r][0], tops[j], k)]
-    full = [r for r in deep if cols[r][0].size == k]
+    keep(0, x)
+    del x
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a worker's block dies when its keep returns
+        list(pool.map(lambda b: keep(b, _fill_paths(spec, N_max, mc, block=b)), range(1, blocks)))
     solved = []
     for r in range(N_max):
-        # a bulk row is joined here and let go after its scan, one at a time
+        # a row is joined here and let go after its scan, one at a time
         col = np.concatenate(cols[r])
         cols[r] = None
         solved.append(_u0_scan(col, S))
-    return solved, full
+    return solved, [r for r, floor in enumerate(floors) if floor > 0]
 
 
 def eta_paths_from_noise(spec: SigmaSpec, xi: np.ndarray) -> np.ndarray:
@@ -384,14 +349,15 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
 
     Every N shares the same xi draws through cumulative sums.  Each row is
     solved by :func:`_u0_scan` on what :func:`_scan_rows` kept of it.
-    ``np.cumsum`` adds from the largest sample down, so on a row's top
-    set every suffix sum has the same rounding as on the whole row, and
-    the root is the same number whenever it lies inside the set: when the
-    scan finds a positive root or saturates, or when the set holds every
-    positive sample.  A row that fails this (its top set gives 0 but
-    dropped samples) is drawn again whole.  With ``mc.monotonize`` a
-    running maximum removes downward Monte Carlo wiggle.  The table is
-    solved for ``unit_spec(spec)`` and rescaled by :func:`hull_table_for`.
+    ``np.cumsum`` adds from the largest sample down, and a row keeps all
+    its samples above a floor, the top of its sorted samples, so every
+    suffix sum has the same rounding as on the whole row, and the root is
+    the same number whenever it lies above the floor: when the scan finds
+    a positive root or saturates, or when the floor is 0.  A row that
+    fails this (a positive floor and a root of 0) is drawn again whole.
+    With ``mc.monotonize`` a running maximum removes downward Monte Carlo
+    wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
+    :func:`hull_table_for`.
     Bit-identical output for identical (spec, N_max, mc) regardless of
     ``threads``, and to solving every row of :func:`_fill_paths`.
     """
@@ -399,8 +365,8 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
         raise ValueError(f"N_max must be >= 1, got {N_max}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    solved, full = _scan_rows(spec, N_max, mc, threads)
-    redo = [r for r in full if solved[r] == (0.0, False)]
+    solved, floored = _scan_rows(spec, N_max, mc, threads)
+    redo = [r for r in floored if solved[r] == (0.0, False)]
     if redo:
         paths = _fill_paths(spec, redo[-1] + 1, mc, np.array(redo), threads=threads)
         for row, r in zip(paths, redo):

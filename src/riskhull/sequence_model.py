@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,6 +212,16 @@ class SigmaSpec:
         else:
             raise ValueError(f"unknown spec kind {self.kind!r}")
 
+    @cached_property
+    def _fingerprint(self) -> str:
+        # computed once per instance, not per equal spec: -0.0 == 0.0 as a
+        # beta, but the two digests differ
+        if self.kind == POWER_LAW:
+            doc = {"kind": self.kind, "epsilon": float(self.epsilon).hex(), "beta": float(self.beta).hex()}
+        else:
+            doc = {"kind": self.kind, "values": [float(v).hex() for v in self.values]}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
     @classmethod
     def power_law(cls, epsilon: float, beta: float) -> "SigmaSpec":
         return cls(kind=POWER_LAW, epsilon=epsilon, beta=beta)
@@ -265,12 +276,7 @@ def unit_spec(spec: SigmaSpec) -> SigmaSpec:
 
 def fingerprint(spec: SigmaSpec) -> str:
     """Stable content digest of a spec, used for hull-cache validation."""
-    if spec.kind == POWER_LAW:
-        doc = {"kind": spec.kind, "epsilon": float(spec.epsilon).hex(), "beta": float(spec.beta).hex()}
-    else:
-        doc = {"kind": spec.kind, "values": [float(v).hex() for v in spec.values]}
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return spec._fingerprint
 
 
 def spec_to_dict(spec: SigmaSpec) -> dict:

@@ -221,52 +221,56 @@ def test_hull_table_saturation_flags_deep_tail():
 
 
 def _full_matrix_table(spec, N_max, mc):
-    """The reference table: `_u0_scan` on every row of the whole path matrix."""
-    solved = [riskhull.hull._u0_scan(row, mc.samples) for row in riskhull.hull._fill_paths(spec, N_max, mc)]
+    """The reference table, `_u0_scan` on every row of the whole path matrix,
+    and the number of positive samples of each row."""
+    paths = riskhull.hull._fill_paths(spec, N_max, mc)
+    solved = [riskhull.hull._u0_scan(row, mc.samples) for row in paths]
     u0 = np.array([t for t, _ in solved])
     return (np.maximum.accumulate(u0) if mc.monotonize else u0), tuple(
-        N for N, (_, sat) in enumerate(solved, 1) if sat)
+        N for N, (_, sat) in enumerate(solved, 1) if sat), (paths > 0).sum(axis=1)
 
 
-def _routed_build(monkeypatch, spec, N_max, mc, threads):
-    """build_hull_table with its row routes: (table, bulk, deep, redo) counts.
+def _routed_build(monkeypatch, spec, N_max, mc, threads, positives):
+    """build_hull_table with its row routes: (table, (bulk, floored, redo), sizes).
 
-    A deep row is scanned on at most ``_TOP_K`` samples and a bulk row on
-    all its positive samples (more than ``_TOP_K`` at these sizes); a
-    redone row is scanned once more, after every row.
+    A bulk row is scanned on all its ``positives`` and a floored row on
+    fewer; a redone row is scanned once more, after every row.  ``sizes``
+    holds the scanned size of each floored row.
     """
     sizes = []
     scan = riskhull.hull._u0_scan
     monkeypatch.setattr(riskhull.hull, "_u0_scan", lambda col, n: (sizes.append(col.size), scan(col, n))[1])
     table = build_hull_table(spec, N_max, mc, threads=threads)
     monkeypatch.setattr(riskhull.hull, "_u0_scan", scan)
-    bulk = sum(size > riskhull.hull._TOP_K for size in sizes[:N_max])
-    return table, bulk, N_max - bulk, len(sizes) - N_max
+    floored = [size for size, pos in zip(sizes, positives) if size < pos]
+    return table, (N_max - len(floored), len(floored), len(sizes) - N_max), floored
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("monotonize", [True, False])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
 def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed):
-    # Seven blocks, so four workers share them; the forced routes keep 64
-    # samples per deep row and send every row with a crossing in its top
-    # 64 on block 0 deep, which leaves some of them to be redone.
+    # Seven blocks, so four workers share them; the forced routes floor
+    # every row with a positive crossing on block 0 at its 11th largest
+    # sample there, which leaves some of them to be redone.
     monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 16_384)
     spec, N_max = SigmaSpec.power_law(1.0, beta), 30
     mc = McParams(samples=100_000, seed=seed, monotonize=monotonize)
-    u0, saturated = _full_matrix_table(spec, N_max, mc)
-    routes = []
-    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, 0)):
+    u0, saturated, positives = _full_matrix_table(spec, N_max, mc)
+    routes, sizes, k = [], [], riskhull.hull._TOP_K
+    for top_k, margin in ((k, riskhull.hull._MARGIN), (64, 0)):
         monkeypatch.setattr(riskhull.hull, "_TOP_K", top_k)
         monkeypatch.setattr(riskhull.hull, "_MARGIN", margin)
         for threads in (1, 4):
-            table, *counts = _routed_build(monkeypatch, spec, N_max, mc, threads)
+            table, counts, floored = _routed_build(monkeypatch, spec, N_max, mc, threads, positives)
             assert np.array_equal(table.U0, u0), (top_k, threads)
             assert table.saturated == saturated, (top_k, threads)
             routes.append(counts)
-    default, default4, forced, forced4 = routes  # (bulk, deep, redo) rows
+            sizes.append(floored)
+    default, default4, forced, forced4 = routes  # (bulk, floored, redo) rows
     assert default == default4 and forced == forced4
     assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: bulk
+    assert all(size < 2 * k for size in sizes[0] + sizes[1])  # about _TOP_K each
     if beta > 0:  # at beta = 0 every crossing lies in the body
         assert default[1] > 0 and forced[2] > 0
 

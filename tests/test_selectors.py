@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import riskhull.sequence_model
 from riskhull import (
     HullTable,
     McParams,
@@ -138,6 +142,23 @@ def test_select_rhm_rejects_stale_hull():
     hull = _hull([0.0, 1.0, 2.0], SigmaSpec.power_law(1.0, 1.0))
     with pytest.raises(ValueError, match="stale"):
         select_rhm(obs, hull, 1.1, 3)
+
+
+def test_select_rhm_computes_the_fingerprint_once_per_spec(monkeypatch):
+    # the digest is kept on the spec instance, not keyed by equality:
+    # beta -0.0 and 0.0 give equal specs with different digests
+    spec = SigmaSpec.power_law(1.0, 0.0)
+    obs, hull = _obs([10.0, 3.0, 0.1], spec), _hull([0.0, 1.0, 2.0], SigmaSpec.power_law(1.0, 0.0))
+    digests = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(riskhull.sequence_model, "hashlib",
+                        types.SimpleNamespace(sha256=lambda blob: (digests.append(blob), sha256(blob))[1]))
+    picks = [select_rhm(obs, hull, 1.1, 3).N_selected for _ in range(3)]
+    assert picks == [picks[0]] * 3 and len(digests) <= 1
+    negative = SigmaSpec.power_law(1.0, -0.0)
+    assert negative == spec and hash(negative) == hash(spec)
+    assert repr(spec) == "SigmaSpec(kind='power-law', epsilon=1.0, beta=0.0, values=None)"
+    assert fingerprint(negative) != fingerprint(spec)
 
 
 def test_select_rhm_requires_hull_coverage():
