@@ -19,10 +19,10 @@ Every sampler here reads rows of that one coupled (N_max, samples) path
 matrix, drawn by a single block kernel in fixed-size blocks with
 per-block Philox streams, so each eta_N sample is the same number
 whichever sampler asks for it.  The table build never holds the matrix:
-it streams the blocks and keeps per N only the samples its crossing
-needs (those above a floor set on block 0 where the crossing lies deep
-in the tail), with the same result bit for bit.  Tables are
-bit-identical for a given seed under any worker count.
+it streams the blocks and keeps per N only the samples above one floor,
+set by one rule a margin below that N's crossing on block 0, with the
+same result bit for bit.  Tables are bit-identical for a given seed
+under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -100,10 +100,10 @@ class McParams:
     monotonize: bool = True
 
     def __post_init__(self) -> None:
+        for name, check in (("samples", pos_int), ("seed", nonneg_int), ("monotonize", boolean)):
+            object.__setattr__(self, name, checked(name, check, getattr(self, name)))
         if self.samples < MIN_SAMPLES:
             raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +155,7 @@ def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
 
 
 def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
-                threads: int = 1, block: int | None = None) -> np.ndarray:
+                block: int | None = None) -> np.ndarray:
     """Rows ``rows`` of the (N_max, samples) float32 normalized eta path matrix.
 
     Row N-1 holds the cumulative eta_N samples.  ``rows`` indexes that
@@ -163,10 +163,9 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
     index array gives (len, samples).  Block b, the columns from
     ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them), is
     generated from the Philox stream (mc.seed, b).  With ``block=b`` this
-    is the one block kernel: it returns only that block's columns, drawn
-    in the calling thread.  Otherwise ``threads`` workers write every
-    block into a disjoint slice of the output, so the result is
-    independent of the executor schedule.
+    is the one block kernel: it returns only that block's columns.
+    Otherwise every block is drawn in turn into its slice of the output.
+    Either way the work runs in the calling thread.
     """
     w32 = _norm_weights(spec, N_max).astype(np.float32)[:, None]
 
@@ -186,13 +185,9 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
     if block is not None:
         return draw(block)
     out = np.empty(np.arange(N_max)[rows].shape + (mc.samples,), dtype=np.float32)
-
-    def fill(b: int) -> None:
+    for b in range(_n_blocks(mc)):
         x = draw(b)
         out[..., b * _SAMPLE_BLOCK:b * _SAMPLE_BLOCK + x.shape[-1]] = x
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(_n_blocks(mc))))
     return out
 
 
@@ -205,16 +200,18 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
 
     The path matrix never exists whole: ``threads`` workers each hold one
     block of :func:`_fill_paths` at a time, and each row keeps of every
-    block only its samples above the row's floor, set once on block 0.
-    With R = ``_TOP_K * n0 // S`` (block 0 has n0 of the S samples), a
-    row whose crossing on block 0 is positive and lies among its top
-    R / ``_MARGIN`` samples takes block 0's (R+1)-th largest positive
-    sample as its floor and so keeps about ``_TOP_K`` samples; every
-    other row (crossing at 0 or in the body) has floor 0 and keeps every
-    positive sample, all that the scan reads.  Block b's samples go to
-    slot b of each row, so the result does not depend on ``threads``.
-    Returns the (t, saturated) of each row and the rows with a positive
-    floor, which dropped positive samples.
+    block only its samples above the row's floor, set on block 0 by one
+    rule.  If m of the row's n0 samples there lie past its crossing, the
+    floor is block 0's r-th largest positive sample (from 0), with
+    r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1)) and R = ``_TOP_K *
+    n0 // S``: ``2 * _MARGIN`` standard deviations of that count below
+    the crossing, and at least about ``_TOP_K`` samples kept.  Where r
+    runs past the positive samples, as when block 0 crosses at 0, the
+    floor is 0 and the row keeps every positive sample, all that the
+    scan reads.  Block b's samples go to slot b of each row, so the
+    result does not depend on ``threads``.  Returns the (t, saturated)
+    of each row and the rows with a positive floor, which dropped
+    positive samples.
     """
     S, blocks = mc.samples, _n_blocks(mc)
     x = _fill_paths(spec, N_max, mc, block=0)
@@ -225,7 +222,8 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
         top = np.sort(row[row > 0])[::-1]
         # how many of the top samples lie past the crossing on block 0
         m = int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n0, 1.0, side="right"))
-        floors.append(top[rank] if m < top.size and _MARGIN * (m + 1) <= rank < top.size else 0)
+        r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
+        floors.append(top[r] if r < top.size else 0)
     del row, top  # a view left bound would keep all of block 0 alive
     cols = [[None] * blocks for _ in range(N_max)]
 
@@ -348,15 +346,16 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     """Build the full U0 table without holding the path matrix.
 
     Every N shares the same xi draws through cumulative sums.  Each row is
-    solved by :func:`_u0_scan` on what :func:`_scan_rows` kept of it.
-    ``np.cumsum`` adds from the largest sample down, and a row keeps all
-    its samples above a floor, the top of its sorted samples, so every
-    suffix sum has the same rounding as on the whole row, and the root is
-    the same number whenever it lies above the floor: when the scan finds
-    a positive root or saturates, or when the floor is 0.  A row that
-    fails this (a positive floor and a root of 0) is drawn again whole.
-    With ``mc.monotonize`` a running maximum removes downward Monte Carlo
-    wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
+    solved by :func:`_u0_scan` on what :func:`_scan_rows` kept of it: all
+    its samples above its floor, which one rule sets a margin below the
+    row's crossing on block 0.  ``np.cumsum`` adds from the largest
+    sample down, and that kept set is the top of the row's sorted
+    samples, so every suffix sum has the same rounding as on the whole
+    row, and the root is the same number whenever it lies above the
+    floor: when the scan finds a positive root or saturates, or when the
+    floor is 0.  A row that fails this (a positive floor and a root of 0)
+    is drawn again whole, in the calling thread.  With ``mc.monotonize``
+    a running maximum removes downward Monte Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
     :func:`hull_table_for`.
     Bit-identical output for identical (spec, N_max, mc) regardless of
     ``threads``, and to solving every row of :func:`_fill_paths`.
@@ -368,7 +367,7 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     solved, floored = _scan_rows(spec, N_max, mc, threads)
     redo = [r for r in floored if solved[r] == (0.0, False)]
     if redo:
-        paths = _fill_paths(spec, redo[-1] + 1, mc, np.array(redo), threads=threads)
+        paths = _fill_paths(spec, redo[-1] + 1, mc, np.array(redo))
         for row, r in zip(paths, redo):
             solved[r] = _u0_scan(row, mc.samples)
     u0_norm = np.array([t for t, _ in solved], dtype=np.float64)

@@ -73,6 +73,8 @@ class Selector:
         pen = np.array(self.pen, dtype=np.float64)
         if pen.shape != (self.N_max,):
             raise ValueError(f"pen must hold N_max={self.N_max} values, got shape {pen.shape}")
+        if np.isnan(pen).any():
+            raise ValueError("pen must hold no NaN")
         pen.flags.writeable = False
         object.__setattr__(self, "pen", pen)
 

@@ -222,28 +222,41 @@ def test_hull_table_saturation_flags_deep_tail():
 
 def _full_matrix_table(spec, N_max, mc):
     """The reference table, `_u0_scan` on every row of the whole path matrix,
-    and the number of positive samples of each row."""
+    and that matrix."""
     paths = riskhull.hull._fill_paths(spec, N_max, mc)
     solved = [riskhull.hull._u0_scan(row, mc.samples) for row in paths]
     u0 = np.array([t for t, _ in solved])
     return (np.maximum.accumulate(u0) if mc.monotonize else u0), tuple(
-        N for N, (_, sat) in enumerate(solved, 1) if sat), (paths > 0).sum(axis=1)
+        N for N, (_, sat) in enumerate(solved, 1) if sat), paths
 
 
-def _routed_build(monkeypatch, spec, N_max, mc, threads, positives):
-    """build_hull_table with its row routes: (table, (bulk, floored, redo), sizes).
+def _kept_sizes(paths, mc):
+    """How many samples of each row the one floor rule keeps, recomputed from
+    block 0 through `_u0_scan`: if m samples there lie above the row's root
+    (all of them for a root of 0), the floor is block 0's r-th largest positive
+    sample (from 0), r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1)), or 0 where
+    r runs past them; the row keeps its samples above the floor."""
+    n0 = min(riskhull.hull._SAMPLE_BLOCK, mc.samples)
+    R = riskhull.hull._TOP_K * n0 // mc.samples
+    kept = []
+    for row in paths:
+        top = np.sort(row[:n0][row[:n0] > 0])[::-1]
+        t, _ = riskhull.hull._u0_scan(row[:n0], n0)
+        m = int(np.sum(top > t)) if t > 0 else top.size
+        r = max(R, m + 1 + 2 * riskhull.hull._MARGIN * math.isqrt(m + 1))
+        kept.append(int(np.sum(row > (top[r] if r < top.size else 0))))
+    return kept
 
-    A bulk row is scanned on all its ``positives`` and a floored row on
-    fewer; a redone row is scanned once more, after every row.  ``sizes``
-    holds the scanned size of each floored row.
-    """
+
+def _routed_build(monkeypatch, spec, N_max, mc, threads):
+    """build_hull_table and the size of each column it scanned: one per row,
+    in row order, then the whole row of each redone one."""
     sizes = []
     scan = riskhull.hull._u0_scan
     monkeypatch.setattr(riskhull.hull, "_u0_scan", lambda col, n: (sizes.append(col.size), scan(col, n))[1])
     table = build_hull_table(spec, N_max, mc, threads=threads)
     monkeypatch.setattr(riskhull.hull, "_u0_scan", scan)
-    floored = [size for size, pos in zip(sizes, positives) if size < pos]
-    return table, (N_max - len(floored), len(floored), len(sizes) - N_max), floored
+    return table, sizes
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -251,37 +264,39 @@ def _routed_build(monkeypatch, spec, N_max, mc, threads, positives):
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
 def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed):
     # Seven blocks, so four workers share them; the forced routes floor
-    # every row with a positive crossing on block 0 at its 11th largest
-    # sample there, which leaves some of them to be redone.
+    # every row with a positive crossing on block 0 at its max(11, m+2)-th
+    # largest sample there, which leaves some of them to be redone.
     monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 16_384)
     spec, N_max = SigmaSpec.power_law(1.0, beta), 30
     mc = McParams(samples=100_000, seed=seed, monotonize=monotonize)
-    u0, saturated, positives = _full_matrix_table(spec, N_max, mc)
-    routes, sizes, k = [], [], riskhull.hull._TOP_K
-    for top_k, margin in ((k, riskhull.hull._MARGIN), (64, 0)):
+    u0, saturated, paths = _full_matrix_table(spec, N_max, mc)
+    positives = (paths > 0).sum(axis=1).tolist()
+    routes = []
+    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, 0)):
         monkeypatch.setattr(riskhull.hull, "_TOP_K", top_k)
         monkeypatch.setattr(riskhull.hull, "_MARGIN", margin)
+        kept = _kept_sizes(paths, mc)
+        floored = sum(size < pos for size, pos in zip(kept, positives))
         for threads in (1, 4):
-            table, counts, floored = _routed_build(monkeypatch, spec, N_max, mc, threads, positives)
+            table, sizes = _routed_build(monkeypatch, spec, N_max, mc, threads)
             assert np.array_equal(table.U0, u0), (top_k, threads)
             assert table.saturated == saturated, (top_k, threads)
-            routes.append(counts)
-            sizes.append(floored)
-    default, default4, forced, forced4 = routes  # (bulk, floored, redo) rows
+            assert sizes[:N_max] == kept, (top_k, threads)
+            routes.append((N_max - floored, floored, len(sizes) - N_max))
+    default, default4, forced, forced4 = routes  # (unfloored, floored, redone) rows
     assert default == default4 and forced == forced4
-    assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: bulk
-    assert all(size < 2 * k for size in sizes[0] + sizes[1])  # about _TOP_K each
-    if beta > 0:  # at beta = 0 every crossing lies in the body
-        assert default[1] > 0 and forced[2] > 0
+    assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: floor 0
+    assert default[1] > 0 and forced[2] > 0
 
 
-def test_streamed_build_holds_under_half_the_path_matrix():
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_streamed_build_holds_under_half_the_path_matrix(beta):
     # tracemalloc counts numpy's allocations: one 52 MB block and the kept
     # samples, where the whole path matrix would be 160 MB
     N_max, samples = 200, 200_000
     tracemalloc.start()
     try:
-        build_hull_table(B1, N_max, McParams(samples=samples, seed=1))
+        build_hull_table(SigmaSpec.power_law(1.0, beta), N_max, McParams(samples=samples, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -525,11 +540,22 @@ def test_atomic_write_text_keeps_plain_open_mode(tmp_path):
     assert atomic == plain
 
 
-def test_mc_params_floor():
+def test_mc_params_floor(tmp_path):
     with pytest.raises(ValueError):
         McParams(samples=9_999, seed=0)
     with pytest.raises(ValueError):
         McParams(samples=10_000, seed=-1)
+    # a value the hull cache would read back as corrupt is refused up front
+    for bad in ({"seed": True}, {"seed": 1.5}, {"samples": 20_000.5}, {"samples": "20000"}, {"monotonize": 1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            McParams(**bad)
+    # an integral float counts as an integer, as in the config
+    mc = McParams(samples=2e4, seed=3.0)
+    assert (mc.samples, mc.seed) == (20_000, 3) and type(mc.samples) is type(mc.seed) is int
+    table = build_hull_table(B1, 5, mc)
+    save_hull_table(table, B1, tmp_path / "hull.json")
+    loaded, _ = load_hull_table(tmp_path / "hull.json")
+    assert (loaded.mc_samples, loaded.seed) == (20_000, 3) and np.array_equal(loaded.U0, table.U0)
 
 
 def test_hull_table_invariants():

@@ -253,6 +253,8 @@ def test_fixed_selector():
     assert fixed_selector(3).select_rows(Y, FLAT).tolist() == [3] * 7
     with pytest.raises(ValueError, match="pen must hold"):
         Selector("custom-penalty", 3, np.zeros(1))  # would broadcast as a constant
+    with pytest.raises(ValueError, match="NaN"):  # argmin would pick it
+        select_penalized(_obs([1.0] * 10), lambda N: np.nan if N == 7 else 0.0, 10)
     with pytest.raises(ValueError):
         fixed_selector(5)(_obs([1.0]))
 
