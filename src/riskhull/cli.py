@@ -12,10 +12,13 @@ A single JSON config document drives every run; command-line flags
 field reads is a config error.  Every run writes a manifest whose
 ``config`` is the fully resolved config: fed back in as the config
 document, it replays the run and reproduces its outputs bit for bit.
-``--threads`` only bounds hull-construction workers and never changes
-any output byte.  The replication engine behind ``bench`` runs in one
-thread: its blocks are short numpy calls under the GIL, and threads
-measured slower.
+``--threads`` never changes any output byte.  It bounds the hull
+build's worker threads and the worker processes of ``bench``'s
+efficiency sweep, which runs its amplitudes on up to that many forked
+processes where ``"fork"`` is a start method (elsewhere in one).  The
+replication engine's numpy calls are too short to get past the GIL, so
+two threads measured slower than one, and two processes faster (see
+``riskhull.bench``).
 
 Exit codes: 0 success, 2 config or input error (a refused memory
 allocation included), 3 I/O or stale/corrupt cache, 4 hull table
@@ -407,10 +410,16 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(f"ratio: rho(1) = {rows[0][1]:.4g}, rho({cfg.n_max}) = {rows[-1][1]:.4g}")
 
     elif cfg.kind == "efficiency":
-        curves = efficiency_curves(
-            cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
-            alpha=cfg.alpha, hull=table,
-        )
+        try:
+            curves = efficiency_curves(
+                cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
+                alpha=cfg.alpha, hull=table, workers=cfg.threads,
+            )
+        except MemoryError as exc:
+            if cfg.threads == 1:
+                raise
+            raise MemoryError(f"bench: {exc}; --threads {cfg.threads} ran the sweep on worker "
+                              f"processes, and a lower --threads starts fewer") from exc
         for method, curve in zip(cfg.methods, curves):
             name = f"efficiency_{method}.csv"
             write_efficiency_csv(curve, os.path.join(cfg.out_dir, name))
@@ -445,7 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
-        p.add_argument("--threads", type=int, default=1, help="worker bound for hull construction (the replication engine is single-threaded)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="bound on the hull build's worker threads and the efficiency "
+                            "sweep's worker processes; never changes an output byte")
         p.add_argument("--out", default=None, help="override output.directory")
         p.add_argument("--rebuild", action="store_true", help="ignore and replace any hull cache")
         if name == "select":

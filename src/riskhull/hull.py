@@ -40,7 +40,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +212,8 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
     of each row and the rows with a positive floor, which dropped
     positive samples.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here: the CLI's start-up skips it
+
     S, blocks = mc.samples, _n_blocks(mc)
     x = _fill_paths(spec, N_max, mc, block=0)
     n0 = x.shape[1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -158,24 +159,43 @@ def _philox_keys(child: np.ndarray) -> np.ndarray:
     return _hash_words(child, 2).T.astype(np.uint64)
 
 
+_THREAD = threading.local()
+
+
+def _rekeyed(key: list[int]) -> np.random.Generator:
+    """This thread's one Philox generator, re-keyed to ``key`` through its ``state``.
+
+    The counter is set to zero and the buffer emptied, so the generator
+    then draws what a fresh ``Philox(key=key)`` draws, without the fresh
+    one's cost: its constructor also seeds a throwaway SeedSequence from
+    OS entropy.  One per thread, so that no other thread re-keys it
+    halfway through a draw; it is made on the thread's first draw, which
+    keeps ``numpy.random`` out of the import.
+    """
+    try:
+        bitgen, gen, inner, state = _THREAD.philox
+    except AttributeError:
+        bitgen = np.random.Philox(0)  # its seeding is overwritten by every key
+        gen = np.random.Generator(bitgen)
+        # Python int lists: the state setter reads them faster than uint64 arrays
+        inner = {"counter": [0, 0, 0, 0], "key": None}
+        state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _THREAD.philox = bitgen, gen, inner, state
+    inner["key"] = key
+    bitgen.state = state
+    return gen
+
+
 def normal_rows(keys: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Fill row i of ``out`` with ``n`` standard normals from the Philox key ``keys[i]``.
 
-    Each row is the draw of a fresh ``Philox(key=keys[i])``: one bit
-    generator is re-keyed per row through its ``state``, with the counter
-    at zero and an empty buffer.  Nothing outlives the call.  The rows of
-    ``out`` must be C-contiguous float64, as ``standard_normal(out=)`` needs.
+    Each row is the draw of a fresh ``Philox(key=keys[i])``, made by this
+    thread's one re-keyed generator.  The rows of ``out`` must be
+    C-contiguous float64, as ``standard_normal(out=)`` needs.
     """
-    bitgen = np.random.Philox(0)  # its seeding is overwritten by the first row's key
-    gen = np.random.Generator(bitgen)
-    # Python int lists: the state setter reads them faster than uint64 arrays
-    inner = {"counter": [0, 0, 0, 0], "key": None}
-    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, key in enumerate(keys.tolist()):
-        inner["key"] = key
-        bitgen.state = state
-        gen.standard_normal(n, out=out[i])
+        _rekeyed(key).standard_normal(n, out=out[i])
     return out
 
 
@@ -370,7 +390,11 @@ def simulate(spec: SigmaSpec, signal: Signal, n_max: int, seed: int) -> Observat
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    xi = rng_for(seed).standard_normal(n_max)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    # the draw of rng_for(seed), from this thread's re-keyed generator
+    key = np.random.SeedSequence(seed).generate_state(2).tolist()
+    xi = _rekeyed(key).standard_normal(n_max)
     return make_observation(spec, signal, xi, seed=seed)
 
 

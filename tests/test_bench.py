@@ -284,6 +284,29 @@ def test_engine_checks_selectors_before_any_draw(engine_hull, monkeypatch):
     assert len(calls) == 2  # the wrapper sees the draws of a valid run
 
 
+@pytest.fixture(scope="module")
+def engine_sweep(unit_hull_b1):
+    """A 5-point sweep of both methods, its keyword arguments and its serial result."""
+    kw = dict(a_grid=[0.0, 0.5, 5.0, 50.0, 500.0], W=6.0, m=6.0, reps=131, n_max=40, seed=6,
+              alpha=1.1, hull=unit_hull_b1)
+    return kw, efficiency_curves(SigmaSpec.power_law(0.3, 1.0), ("ure", "rhm"), **kw)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])  # 7 = 5 amplitudes + 2
+def test_engine_workers_do_not_change_efficiency_curves(engine_sweep, workers):
+    kw, serial = engine_sweep
+    spread = efficiency_curves(SigmaSpec.power_law(0.3, 1.0), ("ure", "rhm"), workers=workers, **kw)
+    for curve, alone in zip(spread, serial):
+        assert (curve.method, curve.reps) == (alone.method, alone.reps)
+        for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
+            assert np.array_equal(getattr(curve, field), getattr(alone, field)), field
+
+
+def test_engine_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers"):
+        efficiency_curves(INV, ("ure",), [1.0, 2.0], 6.0, 6.0, 10, 10, seed=0, workers=0)
+
+
 def test_engine_does_not_import_numpy_ma(cli_env):
     # np.unique imports numpy.ma lazily (about 1 MB of peak RSS); the
     # replication engine must not pull it in.

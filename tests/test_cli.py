@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -437,6 +438,55 @@ def test_bench_efficiency_small(tmp_path, run_cli):
         assert len(lines) == 3
 
 
+_EFFICIENCY_URE = {
+    "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 1.0},
+    "experiment": {"kind": "efficiency", "reps": 20, "n_max": 10, "seed": 3, "a_grid": [1.0, 10.0, 100.0]},
+    "output": {"directory": "out"},
+}
+
+
+def _raise_non_finite(*args):
+    raise ValueError("observation entries must all be finite")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+def test_engine_worker_error_exits_2_as_in_the_serial_run(tmp_path, monkeypatch, capsys):
+    # a forked worker inherits the patched engine
+    monkeypatch.setattr(riskhull.bench, "_replicate", _raise_non_finite)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", _EFFICIENCY_URE)
+    errors = []
+    for threads in ("1", "2"):
+        assert riskhull.cli.main(["bench", "--config", cfg, "--threads", threads]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: observation entries must all be finite\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_engine_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(riskhull.bench, "_replicate", _die)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", _EFFICIENCY_URE)
+    assert riskhull.cli.main(["bench", "--config", cfg, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--threads" in err and "worker process" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_import_loads_no_pool_module(cli_env):
+    # the process and thread pools cost start-up time; only the runs that use them import them
+    code = ("import sys\n"
+            "import riskhull.cli\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_bench_kind_select_redirects(tmp_path, run_cli):
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
@@ -498,14 +548,20 @@ def test_thread_count_does_not_change_any_output_byte(tmp_path, run_cli):
     b = json.loads((tmp_path / "hull2.json").read_text())
     assert a["U0"] == b["U0"]
 
-    # bench stem command, full byte comparison of every output
-    cfg = write_config(tmp_path / "c.json", _stem_cfg(reps=100))
-    for out, threads in (("t1", "1"), ("t2", "4")):
-        res = run_cli("bench", "--config", cfg, "--out", out, "--threads", threads, cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
-    for name in ("stem_ure.csv",):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
-    m1 = json.loads((tmp_path / "t1" / "manifest.json").read_text())
-    m2 = json.loads((tmp_path / "t2" / "manifest.json").read_text())
-    m1["config"]["output"]["directory"] = m2["config"]["output"]["directory"]
-    assert m1 == m2
+    # bench stem and efficiency commands, full byte comparison of every output;
+    # efficiency amplitudes run on worker processes past --threads 1
+    stem_cfg = write_config(tmp_path / "c.json", _stem_cfg(reps=100))
+    eff_cfg = write_config(tmp_path / "e.json", dict(
+        _EFFICIENCY_URE, experiment=dict(_EFFICIENCY_URE["experiment"], reps=61),
+        selector={"methods": ["ure", "rhm"]}, hull={"samples": 10000, "seed": 1, "cache": "he.json"}))
+    for kind, cfg, names, threads in (("stem", stem_cfg, ["stem_ure.csv"], ("1", "4")),
+                                      ("eff", eff_cfg, ["efficiency_ure.csv", "efficiency_rhm.csv"], ("1", "3"))):
+        outs = [tmp_path / f"{kind}-t{t}" for t in threads]
+        for out, t in zip(outs, threads):
+            res = run_cli("bench", "--config", cfg, "--out", str(out), "--threads", t, cwd=tmp_path)
+            assert res.returncode == 0, res.stderr
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in outs)
+        m1["config"]["output"]["directory"] = m2["config"]["output"]["directory"]
+        assert m1 == m2

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -196,6 +200,36 @@ def test_normal_rows_match_rng_for(n):
     for i in range(rows):
         expected = rng_for(derive_seed(seed, first + i)).standard_normal(n)
         assert np.array_equal(out[i], expected)
+
+
+def test_simulate_draws_match_rng_for_from_four_threads():
+    # simulate and normal_rows share one re-keyed generator per thread; four
+    # threads drawing at once must each get the draws of fresh generators
+    spec = SigmaSpec.power_law(1.0, 0.0)  # sigma = 1 and no signal: ys is the draw itself
+    start = threading.Barrier(4)
+
+    def draws(t):
+        start.wait(timeout=30)
+        bad = []
+        for i in range(200):
+            seed, n = derive_seed(t, i), 1 + (7 * i + t) % 40
+            if not np.array_equal(simulate(spec, ZERO_SIGNAL, n, seed).ys,
+                                  rng_for(seed).standard_normal(n)):
+                bad.append(("simulate", seed, n))
+            out = np.empty((2, n))
+            normal_rows(stream_keys(seed, 0, 2), n, out)
+            if not all(np.array_equal(out[r], rng_for(derive_seed(seed, r)).standard_normal(n)) for r in range(2)):
+                bad.append(("normal_rows", seed, n))
+        return bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, between a re-key and its draw too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(draws, t) for t in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[], [], [], []]
 
 
 @pytest.mark.slow
