@@ -26,21 +26,26 @@ against the spectrum, before the first draw, and theta^2.  Per block,
 one ``ure_energy`` matrix over the largest N_max serves every selector,
 each reading its own prefix.  At n_max = 200 and 1,000 reps (one core
 of a 2-core x86 machine) a row costs about 0.4 us of key hashing and
-8-10 us of re-keying and drawing, of which the draw itself is about
-6 us; forming y and the residuals takes about 1.3 us, selecting with
-URE and RHM about 2.2 us and the two losses about 2.5 us.
+about 6.5 us of re-keying and drawing, of which the draw itself is
+about 6 us; forming y and the residuals takes about 1.3 us, selecting
+with URE and RHM about 2.2 us and the two losses about 2.5 us.
 
 An efficiency sweep is one task per amplitude, ``_amplitude``, run in a
-plain loop or, with ``workers > 1``, on forked worker processes that
-each take one contiguous chunk of the amplitudes.  Every task has its
-own seed and returns plain numbers, which go back in amplitude order, so
-no output depends on the worker count.  Processes, not threads: the
+plain loop or, with ``workers > 1``, on worker processes forked with
+``os.fork``.  Each takes one contiguous chunk of the amplitudes and
+sends its results back pickled through a pipe.  Every task has its own
+seed and returns plain numbers, which go back in amplitude order, so no
+output depends on the worker count.  Processes, not threads: the
 engine's numpy calls are too short to get past the GIL.  In-process
 sweeps of 20 amplitudes x 1,000 reps of URE and RHM at n_max = 200 on a
 2-core x86 machine took 0.29-0.37 s in one process, 0.40-0.43 s on two
 threads and 0.17-0.21 s on two forked processes.  About a third of the
 serial time is numpy's normal draw, fixed serial work that only a second
-core can share.  Where ``"fork"`` is no start method the loop runs in
+core can share.  No ``multiprocessing`` pool: after numpy, importing it
+took about 19 ms and starting it and mapping over two processes about
+12 ms, against about 5 ms for forking two workers directly.  The caller
+runs no chunk itself and only waits, so a task that ends its process
+ends a worker, never the caller.  Without ``os.fork`` the loop runs in
 one process.  Python >= 3.12 may warn about forking a process that holds
 threads, such as OpenBLAS's pool: the engine makes no BLAS call, so the
 workers never use it.
@@ -58,6 +63,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -307,27 +314,74 @@ def _amplitude(task) -> tuple[int, float, list[tuple[float, float]]]:
 def _sweep(tasks: list, workers: int) -> list:
     """``_amplitude`` of every task, in order, on up to ``workers`` forked processes.
 
-    Each process takes one contiguous chunk of the tasks.  Where
-    ``"fork"`` is no start method, and for one worker or one task, the
-    tasks run in a plain loop.  A worker that dies outright, as when the
-    OS kills it for lack of memory, raises MemoryError.
+    Each process takes one contiguous chunk of the tasks, runs it and
+    sends back the pickled results, or the exception a task raised, which
+    is raised here as the plain loop would raise it.  The caller only
+    waits: a chunk run here could end the caller's process, as a task
+    that calls ``os._exit`` does.  Without ``os.fork``, and for one worker
+    or one task, the tasks run in a plain loop.  A worker that dies
+    without a result, as when the OS kills it for lack of memory, raises
+    MemoryError.  No worker outlives the call.
     """
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-            chunk = -(-len(tasks) // min(workers, len(tasks)))
-            context = multiprocessing.get_context("fork")
+    if workers < 2 or len(tasks) < 2 or not hasattr(os, "fork"):
+        return [_amplitude(task) for task in tasks]
+    chunk = -(-len(tasks) // min(workers, len(tasks)))
+    pipes, running = [], []  # the read end of each chunk's pipe; the workers not yet reaped
+    try:
+        for lo in range(0, len(tasks), chunk):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
             try:
-                with ProcessPoolExecutor(-(-len(tasks) // chunk), mp_context=context) as pool:
-                    return list(pool.map(_amplitude, tasks, chunksize=chunk))
-            except BrokenProcessPool:
+                pid = os.fork()
+                if pid == 0:
+                    _run_chunk(tasks[lo:lo + chunk], write)
+            finally:
+                os.close(write)
+            running.append(pid)
+        results = []
+        for pipe in pipes:
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(running[0], 0)
+            running.pop(0)
+            if status or not data:
                 raise MemoryError("a worker process of the efficiency sweep died before returning "
                                   "its amplitudes (killed, for example, by the OS when memory "
-                                  "runs out)") from None
-    return [_amplitude(task) for task in tasks]
+                                  "runs out)")
+            outcome = pickle.loads(data)  # written by our own worker
+            if isinstance(outcome, Exception):
+                raise outcome
+            results += outcome
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if running:
+            from signal import SIGKILL  # not at the top: importing signal costs about 1 ms
+
+            for pid in running:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_chunk(tasks: list, write: int) -> None:
+    """Worker side of ``_sweep``: run ``tasks``, pickle the outcome to ``write`` and exit.
+
+    ``os._exit`` runs no atexit handler and flushes none of the stdio
+    buffers the fork copied, which the parent flushes itself.  Exit 0 says
+    the outcome was written in full.
+    """
+    code = 1
+    try:
+        try:
+            outcome = [_amplitude(task) for task in tasks]
+        except Exception as exc:
+            outcome = exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float, m: float,

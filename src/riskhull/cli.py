@@ -14,11 +14,16 @@ field reads is a config error.  Every run writes a manifest whose
 document, it replays the run and reproduces its outputs bit for bit.
 ``--threads`` never changes any output byte.  It bounds the hull
 build's worker threads and the worker processes of ``bench``'s
-efficiency sweep, which runs its amplitudes on up to that many forked
-processes where ``"fork"`` is a start method (elsewhere in one).  The
-replication engine's numpy calls are too short to get past the GIL, so
-two threads measured slower than one, and two processes faster (see
-``riskhull.bench``).
+efficiency sweep, which forks up to that many processes for its
+amplitudes where ``os.fork`` exists (elsewhere it runs in one), and
+only waits for them.  The replication engine's numpy calls are too
+short to get past the GIL, so two threads measured slower than one, and
+two processes faster (see ``riskhull.bench``).
+
+``python -m riskhull`` and the ``riskhull`` script enter through
+``riskhull.__main__.run``, which freezes the start-up heap out of the
+garbage collector before calling ``main``; ``main`` leaves the
+collector of an in-process caller alone.
 
 Exit codes: 0 success, 2 config or input error (a refused memory
 allocation included), 3 I/O or stale/corrupt cache, 4 hull table

@@ -162,10 +162,11 @@ def _philox_keys(child: np.ndarray) -> np.ndarray:
 _THREAD = threading.local()
 
 
-def _rekeyed(key: list[int]) -> np.random.Generator:
-    """This thread's one Philox generator, re-keyed to ``key`` through its ``state``.
+def _philox() -> tuple:
+    """This thread's one Philox: (bit generator, its Generator, state["state"], state).
 
-    The counter is set to zero and the buffer emptied, so the generator
+    Setting ``state["state"]["key"]`` and assigning ``state`` re-keys the
+    generator: the counter is set to zero and the buffer emptied, so it
     then draws what a fresh ``Philox(key=key)`` draws, without the fresh
     one's cost: its constructor also seeds a throwaway SeedSequence from
     OS entropy.  One per thread, so that no other thread re-keys it
@@ -173,15 +174,20 @@ def _rekeyed(key: list[int]) -> np.random.Generator:
     keeps ``numpy.random`` out of the import.
     """
     try:
-        bitgen, gen, inner, state = _THREAD.philox
+        return _THREAD.philox
     except AttributeError:
         bitgen = np.random.Philox(0)  # its seeding is overwritten by every key
-        gen = np.random.Generator(bitgen)
         # Python int lists: the state setter reads them faster than uint64 arrays
         inner = {"counter": [0, 0, 0, 0], "key": None}
         state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        _THREAD.philox = bitgen, gen, inner, state
+        _THREAD.philox = bitgen, np.random.Generator(bitgen), inner, state
+        return _THREAD.philox
+
+
+def _rekeyed(key: list[int]) -> np.random.Generator:
+    """This thread's one Philox generator, re-keyed to ``key``."""
+    bitgen, gen, inner, state = _philox()
     inner["key"] = key
     bitgen.state = state
     return gen
@@ -191,11 +197,16 @@ def normal_rows(keys: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Fill row i of ``out`` with ``n`` standard normals from the Philox key ``keys[i]``.
 
     Each row is the draw of a fresh ``Philox(key=keys[i])``, made by this
-    thread's one re-keyed generator.  The rows of ``out`` must be
-    C-contiguous float64, as ``standard_normal(out=)`` needs.
+    thread's one re-keyed generator, fetched once per call.  The rows of
+    ``out`` must be C-contiguous float64, as ``standard_normal(out=)``
+    needs.
     """
-    for i, key in enumerate(keys.tolist()):
-        _rekeyed(key).standard_normal(n, out=out[i])
+    bitgen, gen, inner, state = _philox()
+    draw = gen.standard_normal
+    for row, key in zip(out, keys.tolist()):
+        inner["key"] = key
+        bitgen.state = state
+        draw(n, out=row)
     return out
 
 

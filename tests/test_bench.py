@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -300,6 +301,31 @@ def test_engine_workers_do_not_change_efficiency_curves(engine_sweep, workers):
         assert (curve.method, curve.reps) == (alone.method, alone.reps)
         for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
             assert np.array_equal(getattr(curve, field), getattr(alone, field)), field
+
+
+def _raise_non_finite(*args):
+    raise ValueError("observation entries must all be finite")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("replicate,raises", [
+    (None, None),
+    (_raise_non_finite, ValueError),
+    (_die, MemoryError),
+], ids=["ok", "worker-error", "worker-killed"])
+def test_engine_workers_leave_no_child_and_no_descriptor(monkeypatch, replicate, raises):
+    if replicate is not None:
+        monkeypatch.setattr(riskhull.bench, "_replicate", replicate)  # a forked worker inherits it
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(raises) if raises else contextlib.nullcontext():
+        efficiency_curves(INV, ("ure",), [0.0, 0.5, 5.0, 50.0, 500.0], 6.0, 6.0, 20, 10, seed=0, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_engine_rejects_fewer_than_one_worker():

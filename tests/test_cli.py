@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import copy
+import gc
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,13 +481,50 @@ def test_engine_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, caps
 
 
 def test_cli_import_loads_no_pool_module(cli_env):
-    # the process and thread pools cost start-up time; only the runs that use them import them
+    # the process and thread pools cost start-up time; the CLI loads neither, and
+    # the efficiency sweep forks its workers without them
     code = ("import sys\n"
             "import riskhull.cli\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n")
+            "pools = ('multiprocessing', 'concurrent.futures')\n"
+            "print(sorted(m for m in pools if m in sys.modules))\n"
+            "riskhull.efficiency_curves(riskhull.SigmaSpec.power_law(1.0, 1.0), ['ure'], [0.5, 5.0, 50.0],\n"
+            "                           6.0, 6.0, 20, 10, seed=1, workers=2)\n"
+            "print(sorted(m for m in pools if m in sys.modules))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path, monkeypatch, cli_env):
+    # importing the entry module runs nothing, and cli.main, called in-process,
+    # leaves the caller's collector as it was
+    before = gc.isenabled(), gc.get_freeze_count()
+    import riskhull.__main__
+
+    cfg = write_config(tmp_path / "c.json", {"problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
+                                             "selector": {"methods": ["ure"]}})
+    monkeypatch.chdir(tmp_path)
+    assert riskhull.cli.main(["select", "--config", cfg, "--out", "out", _data_file(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    # `python -m riskhull` goes through run(), which freezes before main()
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['riskhull', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('riskhull', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(gc.get_freeze_count() > 0)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "True"
+
+    # and the console script names that same run()
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["riskhull"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is riskhull.__main__.run
 
 
 def test_bench_kind_select_redirects(tmp_path, run_cli):
