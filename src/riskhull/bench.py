@@ -1,11 +1,12 @@
 """Monte Carlo experiment harness: stem diagnostics, penalty-ratio curves
 and oracle-efficiency curves, with CSV/manifest output.
 
-Replication r of a run seeded with s draws its noise from
-``rng_for(derive_seed(s, r))``; inside an efficiency curve the seed of
-amplitude a_index is ``derive_seed(s, a_index)``, so replication r there
-draws from ``rng_for(derive_seed(derive_seed(s, a_index), r))``.  Results
-are reproducible bit for bit and independent of scheduling.  Per-curve
+Replication r of a run seeded with s draws its noise from row r of the
+Philox stream of s: the key of ``rng_for(s)`` with the counter at
+``[0, 0, r, 0]``, numpy's ``rng_for(s).bit_generator.jumped(r)`` (see
+``riskhull.sequence_model``).  Inside an efficiency curve the seed of
+amplitude a_index is ``derive_seed(s, a_index)``.  Results are
+reproducible bit for bit and independent of scheduling.  Per-curve
 aggregation uses numpy's pairwise summation on arrays filled by
 replication index, which keeps means order-independent as well.
 
@@ -14,21 +15,18 @@ the rows of one matrix, and selection, projection and loss are array
 operations over the whole block.  Every selector of a call shares those
 draws, so the URE and RHM curves of one ``efficiency_curves`` call see
 identical observations at half the sampling cost, and so do the stem
-records of one ``stem_experiments`` call.  The stream layout is
-the one of ``simulate`` per replication, as above, so the
-blocked engine reproduces the per-replication results bit for bit.  The
-block bounds the engine's working set to a few matrices of 64 x n_max.
-A block's draws are ``normal_rows(keys, ...)``, one Philox re-keyed per
-row, with the keys of up to ``_KEY_CHUNK`` rows hashed by one
-``stream_keys`` call (once per run for reps <= 4096).  Work that does
-not depend on the draws runs once per run: the selectors' checks
-against the spectrum, before the first draw, and theta^2.  Per block,
-one ``ure_energy`` matrix over the largest N_max serves every selector,
-each reading its own prefix.  At n_max = 200 and 1,000 reps (one core
-of a 2-core x86 machine) a row costs about 0.4 us of key hashing and
-about 6.5 us of re-keying and drawing, of which the draw itself is
-about 6 us; forming y and the residuals takes about 1.3 us, selecting
-with URE and RHM about 2.2 us and the two losses about 2.5 us.
+records of one ``stem_experiments`` call.  The block bounds the engine's
+working set to a few matrices of 64 x n_max.  A block's draws are one
+``normal_rows`` call, which hashes the key once and sets the counter of
+one Philox per row.  Work that does not depend on the draws runs once
+per run: the selectors' checks against the spectrum, before the first
+draw, and theta^2.  Per block, one ``ure_energy`` matrix over the
+largest N_max serves every selector, each reading its own prefix.  At
+n_max = 200 and 1,000 reps (one core of a 2-core x86 machine) a row
+costs about 5-8 us of setting the counter and drawing, of which the
+draw itself is 4-6 us; forming y and the residuals takes about
+1.3 us, selecting with URE and RHM about 2.2 us and the two losses
+about 2.5 us.
 
 An efficiency sweep is one task per amplitude, ``_amplitude``, run in a
 plain loop or, with ``workers > 1``, on worker processes forked with
@@ -84,7 +82,6 @@ from .sequence_model import (
     sigma_values,
     signal_family,
     simulate,  # noqa: F401
-    stream_keys,
     unit_spec,
 )
 
@@ -113,7 +110,6 @@ DEFAULT_REPS = 10_000
 STEM_REPS = 2_000
 DEFAULT_ALPHA = 1.1
 _REP_BLOCK = 64  # replications per engine block; see the module docstring
-_KEY_CHUNK = 4096  # rows per stream_keys call, bounding its ~100 B per row of temporaries
 
 
 def default_n_max(spec: SigmaSpec) -> int:
@@ -133,25 +129,13 @@ def default_a_grid(num: int = 20, lo: float = 0.5, hi: float = 500.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _key_blocks(seed: int, reps: int):
-    """(first row, Philox keys) of each engine block of rows 0..reps-1 of ``seed``.
-
-    Keys are hashed ``_KEY_CHUNK`` rows at a time, once per run for
-    reps <= _KEY_CHUNK, and handed out ``_REP_BLOCK`` rows at a time.
-    """
-    for first in range(0, reps, _KEY_CHUNK):
-        keys = stream_keys(seed, first, min(_KEY_CHUNK, reps - first))
-        for lo in range(0, len(keys), _REP_BLOCK):
-            yield first + lo, keys[lo:lo + _REP_BLOCK]
-
-
 def _replicate(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
                reps: int, n_max: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Selected bandwidths and squared losses of every selector over ``reps`` draws.
 
-    Row r of a block is the draw that ``simulate(spec, signal, n_max,
-    derive_seed(seed, r))`` makes, and every selector sees the same rows.
-    Each selector picks from one shared ``ure_energy`` matrix over the
+    Row r is ``make_observation(spec, signal, xi)`` of the noise xi that
+    row r of ``normal_rows(seed, ...)`` draws, and every selector sees the
+    same rows.  Each selector picks from one shared ``ure_energy`` matrix over the
     largest N_max.  The loss of a row is ``squared_loss(project(obs, N),
     signal)`` bit for bit: its terms are summed over a slice of length
     ``max(N, len(signal))``.  Every selector is checked against ``spec``
@@ -172,9 +156,9 @@ def _replicate(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
     out = [(np.empty(reps, dtype=np.int64), np.empty(reps)) for _ in selectors]
     xi = np.empty((_REP_BLOCK, n_max))
     resid = np.zeros((_REP_BLOCK, width))
-    for start, keys in _key_blocks(seed, reps):
-        rows = len(keys)
-        normal_rows(keys, n_max, xi[:rows])
+    for start in range(0, reps, _REP_BLOCK):
+        rows = min(_REP_BLOCK, reps - start)
+        normal_rows(seed, start, n_max, xi[:rows])
         Y = kept + sig * xi[:rows]
         if not np.all(np.isfinite(Y)):
             raise ValueError("observation entries must all be finite")

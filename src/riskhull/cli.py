@@ -288,7 +288,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v3",
+        "format": "riskhull-manifest-v4",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,
@@ -491,7 +491,3 @@ def main(argv=None) -> int:
     except HullMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HULL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

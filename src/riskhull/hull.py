@@ -136,11 +136,16 @@ class HullTable:
             raise ValueError("SigmaFourth must be positive and strictly increasing")
         if self.monotonized and np.any(np.diff(u0) < 0):
             raise ValueError("monotonized table must have nondecreasing U0")
+        saturated = tuple(int(n) for n in self.saturated)
+        bounds = (0, *saturated, self.N_max + 1)
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"saturated must list strictly increasing bandwidths in 1..{self.N_max}, "
+                             f"got {list(saturated)}")
         u0.flags.writeable = False
         s4.flags.writeable = False
         object.__setattr__(self, "U0", u0)
         object.__setattr__(self, "SigmaFourth", s4)
-        object.__setattr__(self, "saturated", tuple(int(n) for n in self.saturated))
+        object.__setattr__(self, "saturated", saturated)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,15 @@ being direct estimation.
 All random draws go through counter-based Philox streams keyed by
 (seed, stream indices), so any experiment built on top of this module is
 bit-reproducible regardless of how work is scheduled across workers.
+
+The replications of a run seeded s share one key, the one of
+``rng_for(s)``, and differ in the counter: replication r starts at the
+counter ``[0, 0, r, 0]``, numpy's ``rng_for(s).bit_generator.jumped(r)``,
+2**128 counter steps past replication r - 1.  Philox streams at distinct
+counter offsets under one key are independent by design (Salmon et al.
+2011, "Parallel random numbers: as easy as 1, 2, 3"), and no replication
+draws near 2**128 values, so no two overlap.  ``normal_rows`` draws a
+block of such rows; ``simulate`` draws row 0 of its seed.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ __all__ = [
     "spec_from_dict",
     "rng_for",
     "derive_seed",
-    "stream_keys",
     "normal_rows",
     "make_observation",
     "simulate",
@@ -56,9 +64,10 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
 
     Distinct stream tuples give statistically independent Philox streams;
     the mapping is a pure function of (seed, stream), independent of
-    thread count or call order.  Its block form is ``normal_rows(
-    stream_keys(seed, first, rows), n, out)``: row i draws what
-    ``rng_for(derive_seed(seed, first + i)).standard_normal(n)`` draws.
+    thread count or call order.  Replication r of a run seeded ``seed``
+    draws from ``rng_for(seed).bit_generator.jumped(r)``, the same key
+    with the counter at ``[0, 0, r, 0]``; ``normal_rows`` draws a block of
+    them.
     """
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -74,139 +83,49 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), over uint32 words
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]  # words that word s mixes into
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The column of hash constants init * mult**j mod 2**32, j = 0..count."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hash_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(n_words)`` of every column of ``entropy``.
-
-    ``entropy`` is a ``(words, rows)`` uint32 array; the result is
-    ``(n_words, rows)``.  numpy's hashmix calls run one after the other
-    with constants that depend on the call's position only, so every call
-    that updates a different pool word is one array operation here, and
-    all arithmetic wraps modulo 2**32 as numpy's does.
-    """
-    head, extra = entropy[:_POOL], entropy[_POOL:]
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
-    j = 0
-
-    def hashmix(value: np.ndarray, calls: int) -> np.ndarray:
-        nonlocal j
-        value = (value ^ h[j:j + calls]) * h[j + 1:j + calls + 1]
-        j += calls
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> np.uint32(16))
-
-    # a missing entropy word hashes as a zero one
-    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(head)] = head
-    pool = hashmix(pool, _POOL)
-    for src, dst in enumerate(_OTHERS):
-        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
-    for word in extra:
-        pool = mix(pool, hashmix(word, _POOL))
-    g = _hash_consts(_INIT_B, _MULT_B, n_words)
-    state = (pool[np.arange(n_words) % _POOL] ^ g[:-1]) * g[1:]
-    return state ^ (state >> np.uint32(16))
-
-
-def stream_keys(seed: int, first: int, rows: int) -> np.ndarray:
-    """Philox keys of the streams ``rng_for(derive_seed(seed, r))``, r = first..first+rows-1.
-
-    Row i of the ``(rows, 2)`` uint64 result is
-    ``SeedSequence(derive_seed(seed, first + i)).generate_state(2)``,
-    computed as numpy's hash in uint32 arithmetic over the whole block.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if first < 0 or rows < 0 or first + rows > 2**32:
-        raise ValueError(f"stream indices {first}..{first + rows - 1} must lie in 0..2**32 - 1")
-    # SeedSequence(seed, spawn_key=(r,)): the seed's words, zero-padded to
-    # the pool size, then r
-    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    entropy = np.empty((len(words) + 1, rows), dtype=np.uint32)
-    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(first, first + rows, dtype=np.int64)
-    return _philox_keys(_hash_words(entropy, 2))
-
-
-def _philox_keys(child: np.ndarray) -> np.ndarray:
-    """``SeedSequence(c).generate_state(2)`` of each child seed c, as ``(rows, 2)`` uint64.
-
-    ``child`` holds the low and the high word of each c in its two rows,
-    as derive_seed's ``generate_state(1, np.uint64)`` lays them out.  A
-    c below 2**32 has one entropy word, but a missing word hashes as a
-    zero one, so [low, high] is the entropy of every child seed.
-    """
-    return _hash_words(child, 2).T.astype(np.uint64)
-
-
 _THREAD = threading.local()
 
 
-def _philox() -> tuple:
-    """This thread's one Philox: (bit generator, its Generator, state["state"], state).
+def _philox(key: list[int], row: int = 0) -> np.random.Generator:
+    """This thread's one Philox generator, keyed to ``key`` with its counter at ``[0, 0, row, 0]``.
 
-    Setting ``state["state"]["key"]`` and assigning ``state`` re-keys the
-    generator: the counter is set to zero and the buffer emptied, so it
-    then draws what a fresh ``Philox(key=key)`` draws, without the fresh
-    one's cost: its constructor also seeds a throwaway SeedSequence from
-    OS entropy.  One per thread, so that no other thread re-keys it
-    halfway through a draw; it is made on the thread's first draw, which
-    keeps ``numpy.random`` out of the import.
+    Assigning the state empties the buffer, so the generator then draws
+    what ``Philox(key=key).jumped(row)`` draws, without a fresh
+    generator's cost: ``Philox``'s constructor also seeds a throwaway
+    SeedSequence from OS entropy.  One per thread, so that no other
+    thread re-keys it halfway through a draw; it is made on the thread's
+    first draw, which keeps ``numpy.random`` out of the import.
     """
     try:
-        return _THREAD.philox
+        bitgen, gen, inner, state = _THREAD.philox
     except AttributeError:
         bitgen = np.random.Philox(0)  # its seeding is overwritten by every key
         # Python int lists: the state setter reads them faster than uint64 arrays
         inner = {"counter": [0, 0, 0, 0], "key": None}
         state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        _THREAD.philox = bitgen, np.random.Generator(bitgen), inner, state
-        return _THREAD.philox
-
-
-def _rekeyed(key: list[int]) -> np.random.Generator:
-    """This thread's one Philox generator, re-keyed to ``key``."""
-    bitgen, gen, inner, state = _philox()
+        gen = np.random.Generator(bitgen)
+        _THREAD.philox = bitgen, gen, inner, state
     inner["key"] = key
+    inner["counter"][2] = row
     bitgen.state = state
     return gen
 
 
-def normal_rows(keys: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Fill row i of ``out`` with ``n`` standard normals from the Philox key ``keys[i]``.
+def normal_rows(seed: int, first: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Fill row i of ``out`` with ``n`` standard normals from stream row ``first + i`` of ``seed``.
 
-    Each row is the draw of a fresh ``Philox(key=keys[i])``, made by this
-    thread's one re-keyed generator, fetched once per call.  The rows of
-    ``out`` must be C-contiguous float64, as ``standard_normal(out=)``
-    needs.
+    Row r draws what ``Generator(rng_for(seed).bit_generator.jumped(r))``
+    draws: the Philox key of ``rng_for(seed)`` with the counter at
+    ``[0, 0, r, 0]``.  The key is hashed once per call and each row sets
+    the counter of this thread's one generator.  The rows of ``out`` must
+    be C-contiguous float64, as ``standard_normal(out=)`` needs.
     """
-    bitgen, gen, inner, state = _philox()
-    draw = gen.standard_normal
-    for row, key in zip(out, keys.tolist()):
-        inner["key"] = key
-        bitgen.state = state
-        draw(n, out=row)
+    if seed < 0 or first < 0:
+        raise ValueError(f"seed and first row must be nonnegative integers, got {seed} and {first}")
+    key = np.random.SeedSequence(seed).generate_state(2).tolist()
+    for row, values in enumerate(out, first):
+        _philox(key, row).standard_normal(n, out=values)
     return out
 
 
@@ -404,8 +323,7 @@ def simulate(spec: SigmaSpec, signal: Signal, n_max: int, seed: int) -> Observat
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     # the draw of rng_for(seed), from this thread's re-keyed generator
-    key = np.random.SeedSequence(seed).generate_state(2).tolist()
-    xi = _rekeyed(key).standard_normal(n_max)
+    xi = _philox(np.random.SeedSequence(seed).generate_state(2).tolist()).standard_normal(n_max)
     return make_observation(spec, signal, xi, seed=seed)
 
 

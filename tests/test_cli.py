@@ -368,7 +368,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v3"
+    assert manifest["format"] == "riskhull-manifest-v4"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}
@@ -393,9 +393,9 @@ def test_bench_stem_methods_share_one_draw_per_replication(tmp_path, monkeypatch
     rows = []
     normal_rows = riskhull.bench.normal_rows
 
-    def counted(keys, n, out):
-        rows.extend(map(tuple, keys))
-        return normal_rows(keys, n, out)
+    def counted(seed, first, n, out):
+        rows.extend(range(first, first + len(out)))
+        return normal_rows(seed, first, n, out)
 
     monkeypatch.setattr(riskhull.bench, "normal_rows", counted)
     monkeypatch.chdir(tmp_path)

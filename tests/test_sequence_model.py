@@ -26,7 +26,7 @@ from riskhull import (
     spec_to_dict,
     unit_spec,
 )
-from riskhull.sequence_model import _philox_keys, normal_rows, stream_keys
+from riskhull.sequence_model import normal_rows
 
 
 # ---------------------------------------------------------------------------
@@ -154,52 +154,44 @@ def test_derive_seed_distinct_streams():
     assert derive_seed(7, 3) == derive_seed(7, 3)
 
 
-# The block form of the stream layout against numpy's SeedSequence: seeds
-# of one to five 32-bit words, and one derive_seed output (the efficiency
-# sweep's inner seeds are 64-bit).
+# The replication streams against numpy's Philox.jumped: seeds of one to
+# five 32-bit words, and one derive_seed output (the efficiency sweep's
+# amplitude seeds are 64-bit).
 STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 12345678901234567, 2**128 + 3,
                 derive_seed(2024, 3)]
 
 
-def _reference_keys(seed, first, rows):
-    return np.array([np.random.SeedSequence(derive_seed(seed, r)).generate_state(2)
-                     for r in range(first, first + rows)], dtype=np.uint64)
+def _jumped(seed, row):
+    """Row ``row`` of the stream of ``seed``: numpy's Philox.jumped."""
+    return np.random.Generator(rng_for(seed).bit_generator.jumped(row))
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_stream_keys_match_seed_sequence(seed):
-    keys = stream_keys(seed, 0, 300)
-    assert keys.dtype == np.uint64 and keys.shape == (300, 2)
-    assert np.array_equal(keys, _reference_keys(seed, 0, 300))
-    assert np.array_equal(stream_keys(seed, 1000, 37), _reference_keys(seed, 1000, 37))
-
-
-def test_stream_keys_of_child_seeds():
-    # A child seed below 2**32 turns up about once in 2**32 rows, so the
-    # child-seed -> key stage is checked on chosen children directly.
-    children = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    words = np.array([[c & 0xFFFFFFFF for c in children], [c >> 32 for c in children]],
-                     dtype=np.uint32)
-    expected = [np.random.SeedSequence(c).generate_state(2) for c in children]
-    assert np.array_equal(_philox_keys(words), np.array(expected, dtype=np.uint64))
-
-
-def test_stream_keys_rejects_wide_stream_indices():
-    assert stream_keys(3, 2**32 - 2, 2).shape == (2, 2)
-    with pytest.raises(ValueError):
-        stream_keys(3, 2**32 - 2, 3)
-    with pytest.raises(ValueError):
-        stream_keys(-1, 0, 1)
+    # every row of the stream of seed has the key of rng_for(seed),
+    # SeedSequence(seed).generate_state(2), and row r is numpy's jumped(r) of
+    # it: rows far past 2**32 too, since the row number is the counter
+    key = np.random.SeedSequence(seed).generate_state(2)
+    assert np.array_equal(rng_for(seed).bit_generator.state["state"]["key"], key)
+    for first in (0, 2**32 - 1, 2**40):
+        out = np.empty((3, 5))
+        normal_rows(seed, first, 5, out)
+        for i in range(3):
+            assert np.array_equal(out[i], _jumped(seed, first + i).standard_normal(5)), (first, i)
 
 
 @pytest.mark.parametrize("n", [1, 7, 200])
 def test_normal_rows_match_rng_for(n):
     seed, first, rows = derive_seed(11, 4), 64, 9
     out = np.empty((rows, n))
-    assert normal_rows(stream_keys(seed, first, rows), n, out) is out
+    assert normal_rows(seed, first, n, out) is out
     for i in range(rows):
-        expected = rng_for(derive_seed(seed, first + i)).standard_normal(n)
-        assert np.array_equal(out[i], expected)
+        assert np.array_equal(out[i], _jumped(seed, first + i).standard_normal(n))
+    # row 0 is the draw of rng_for(seed) itself, the one simulate makes
+    assert np.array_equal(normal_rows(seed, 0, n, out[:1])[0], rng_for(seed).standard_normal(n))
+    for bad in ((-1, 0), (seed, -1)):
+        with pytest.raises(ValueError):
+            normal_rows(*bad, n, out)
 
 
 def test_simulate_draws_match_rng_for_from_four_threads():
@@ -217,8 +209,8 @@ def test_simulate_draws_match_rng_for_from_four_threads():
                                   rng_for(seed).standard_normal(n)):
                 bad.append(("simulate", seed, n))
             out = np.empty((2, n))
-            normal_rows(stream_keys(seed, 0, 2), n, out)
-            if not all(np.array_equal(out[r], rng_for(derive_seed(seed, r)).standard_normal(n)) for r in range(2)):
+            normal_rows(seed, i, n, out)
+            if not all(np.array_equal(out[r], _jumped(seed, i + r).standard_normal(n)) for r in range(2)):
                 bad.append(("normal_rows", seed, n))
         return bad
 
