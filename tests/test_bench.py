@@ -248,9 +248,20 @@ def test_engine_matches_reference_loop(engine_hull, reps, signal_name, method):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_engine_rows_do_not_depend_on_block(engine_hull, monkeypatch, block):
-    # 130 reps cross several blocks and end in a partial one
+@pytest.mark.parametrize("chunk", [5, 48])
+def test_engine_rows_do_not_depend_on_block_or_key_chunk(engine_hull, monkeypatch, block, chunk):
+    # 130 reps cross several blocks and end in a partial one; each
+    # normal_rows call hashes the key once, so splitting a block's draw
+    # into calls of ``chunk`` rows re-hashes it mid-block
     monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", block)
+    draw = riskhull.bench.normal_rows
+
+    def chunked(seed, first, n, out):
+        for i in range(0, len(out), chunk):
+            draw(seed, first + i, n, out[i:i + chunk])
+        return out
+
+    monkeypatch.setattr(riskhull.bench, "normal_rows", chunked)
     n_max, reps = ENGINE_N_MAX, 130
     signal = signal_family(20.0, 6.0, 2.0, 0.7, n_max + 9)
     selectors = [ure_selector(n_max), rhm_selector(engine_hull, 1.1, n_max)]
