@@ -159,11 +159,11 @@ class RunConfig:
         self.W = read("W", positive, default=6.0)
         self.m = read("m", positive, default=6.0)
         self.amplitude = read("a", real, default=0.0)
-        if self.amplitude < 0:
-            raise ConfigError(f"experiment.a: must be >= 0, got {self.amplitude}")
+        if self.amplitude < 0 or not math.isfinite(self.amplitude):
+            raise ConfigError(f"experiment.a: must be a finite real >= 0, got {self.amplitude}")
         self.a_grid = read("a_grid", list_of(real), default=[float(a) for a in default_a_grid()])
         if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
-            raise ConfigError("experiment.a_grid: must be a nonempty list of nonnegative reals")
+            raise ConfigError("experiment.a_grid: must be a nonempty list of finite reals >= 0")
 
         read = self._reader(doc, "selector")
         self.methods = read("methods", _methods, default=("ure",))

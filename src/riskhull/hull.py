@@ -15,14 +15,15 @@ infimum is found by a single suffix-sum scan of the sorted samples.
 
 All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
-Every sampler here reads rows of that one coupled (N_max, samples) path
-matrix, drawn by a single block kernel in fixed-size blocks with
-per-block Philox streams, so each eta_N sample is the same number
-whichever sampler asks for it.  The table build never holds the matrix:
-it streams the blocks and keeps per N only the samples above one floor,
-set by one rule a margin below that N's crossing on block 0, with the
-same result bit for bit.  Tables are bit-identical for a given seed
-under any worker count.
+That one coupled (N_max, samples) path matrix is drawn by a single block
+kernel, ``_fill_paths``, in fixed-size blocks with per-block Philox
+streams.  The samplers and ``compute_u0`` read rows of it through one row
+reader, ``_path_rows``, so each eta_N sample is the same number whichever
+of them asks for it.  The table build never holds the matrix: it streams
+the blocks and keeps per N only the samples above one floor, set by one
+rule a margin below that N's crossing on block 0, with the same result
+bit for bit.  Tables are bit-identical for a given seed under any worker
+count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -132,8 +133,8 @@ class HullTable:
             raise ValueError(f"inconsistent table sizes: N_max={self.N_max}, U0={u0.size}, SigmaFourth={s4.size}")
         if np.any(u0 < 0) or not np.all(np.isfinite(u0)):
             raise ValueError("U0 entries must be finite and >= 0")
-        if np.any(s4 <= 0) or np.any(np.diff(s4) <= 0):
-            raise ValueError("SigmaFourth must be positive and strictly increasing")
+        if np.any(s4 <= 0) or np.any(np.diff(s4) <= 0) or not np.all(np.isfinite(s4)):
+            raise ValueError("SigmaFourth entries must be finite, positive and strictly increasing")
         if self.monotonized and np.any(np.diff(u0) < 0):
             raise ValueError("monotonized table must have nondecreasing U0")
         saturated = tuple(int(n) for n in self.saturated)
@@ -158,45 +159,47 @@ def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
     return sigma_values(unit_spec(spec), N) ** 2
 
 
-def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, rows=slice(None),
-                block: int | None = None) -> np.ndarray:
-    """Rows ``rows`` of the (N_max, samples) float32 normalized eta path matrix.
+def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.ndarray:
+    """Block ``block`` of the (N_max, samples) float32 normalized eta path matrix.
 
-    Row N-1 holds the cumulative eta_N samples.  ``rows`` indexes that
-    axis like numpy does: an int gives shape (samples,), a slice or an
-    index array gives (len, samples).  Block b, the columns from
-    ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them), is
-    generated from the Philox stream (mc.seed, b).  With ``block=b`` this
-    is the one block kernel: it returns only that block's columns.
-    Otherwise every block is drawn in turn into its slice of the output.
-    Either way the work runs in the calling thread.
+    This is the one block kernel.  Row N-1 holds the cumulative eta_N
+    samples; block b holds the columns from ``b * _SAMPLE_BLOCK`` on (at
+    most ``_SAMPLE_BLOCK`` of them), drawn from the Philox stream
+    (mc.seed, b) in the calling thread.  The draw fills the block row by
+    row, so its first n rows do not depend on N_max >= n.
     """
-    w32 = _norm_weights(spec, N_max).astype(np.float32)[:, None]
-
-    def draw(b: int) -> np.ndarray:
-        n = min(_SAMPLE_BLOCK, mc.samples - b * _SAMPLE_BLOCK)
-        x = rng_for(mc.seed, b).standard_normal((N_max, n), dtype=np.float32)
-        np.multiply(x, x, out=x)
-        x -= np.float32(1.0)
-        x *= w32
-        # the cumulative sum over N row by row: the float32 adds of
-        # np.add.accumulate(x, axis=0) in the same order, at a small
-        # fraction of that call's cost
-        for i in range(1, N_max):
-            np.add(x[i], x[i - 1], out=x[i])
-        return x[rows]
-
-    if block is not None:
-        return draw(block)
-    out = np.empty(np.arange(N_max)[rows].shape + (mc.samples,), dtype=np.float32)
-    for b in range(_n_blocks(mc)):
-        x = draw(b)
-        out[..., b * _SAMPLE_BLOCK:b * _SAMPLE_BLOCK + x.shape[-1]] = x
-    return out
+    n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
+    x = rng_for(mc.seed, block).standard_normal((N_max, n), dtype=np.float32)
+    np.multiply(x, x, out=x)
+    x -= np.float32(1.0)
+    x *= _norm_weights(spec, N_max).astype(np.float32)[:, None]
+    # the cumulative sum over N row by row: the float32 adds of
+    # np.add.accumulate(x, axis=0) in the same order, at a small
+    # fraction of that call's cost
+    for i in range(1, N_max):
+        np.add(x[i], x[i - 1], out=x[i])
+    return x
 
 
 def _n_blocks(mc: McParams) -> int:
     return -(-mc.samples // _SAMPLE_BLOCK)
+
+
+def _path_rows(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
+    """Rows N-1 of the path matrix for the sorted bandwidths ``Ns``.
+
+    Returns float32 (len(Ns), samples), read block by block out of
+    :func:`_fill_paths` into one preallocated array, with one block live
+    at a time.
+    """
+    if not Ns or Ns[0] < 1:
+        raise ValueError(f"need a nonempty list of bandwidths >= 1, got {list(Ns)}")
+    rows = np.array(Ns) - 1
+    out = np.empty((rows.size, mc.samples), dtype=np.float32)
+    for b in range(_n_blocks(mc)):
+        x = _fill_paths(spec, Ns[-1], mc, b)
+        out[:, b * _SAMPLE_BLOCK:b * _SAMPLE_BLOCK + x.shape[1]] = x[rows]
+    return out
 
 
 def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple[list, list[int]]:
@@ -220,7 +223,7 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
     from concurrent.futures import ThreadPoolExecutor  # imported here: the CLI's start-up skips it
 
     S, blocks = mc.samples, _n_blocks(mc)
-    x = _fill_paths(spec, N_max, mc, block=0)
+    x = _fill_paths(spec, N_max, mc, 0)
     n0 = x.shape[1]
     rank = _TOP_K * n0 // S
     floors = []
@@ -241,7 +244,7 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
     del x
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # a worker's block dies when its keep returns
-        list(pool.map(lambda b: keep(b, _fill_paths(spec, N_max, mc, block=b)), range(1, blocks)))
+        list(pool.map(lambda b: keep(b, _fill_paths(spec, N_max, mc, b)), range(1, blocks)))
     solved = []
     for r in range(N_max):
         # a row is joined here and let go after its scan, one at a time
@@ -274,17 +277,12 @@ def sample_eta_paths(spec: SigmaSpec, N_max: int, mc: McParams) -> np.ndarray:
     Memory scales as samples * N_max; prefer :func:`eta_samples_at` or
     :func:`eta_checkpoint_samples` when only a few columns are needed.
     """
-    sigma1_sq = sigma_at(spec, 1) ** 2
-    paths = _fill_paths(spec, N_max, mc)
-    return sigma1_sq * paths.T.astype(np.float64)
+    return eta_checkpoint_samples(spec, range(1, N_max + 1), mc).T
 
 
 def eta_samples_at(spec: SigmaSpec, N: int, mc: McParams) -> np.ndarray:
     """Monte Carlo samples of eta_N only, shape (samples,), absolute units."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    sigma1_sq = sigma_at(spec, 1) ** 2
-    return sigma1_sq * _fill_paths(spec, N, mc, N - 1).astype(np.float64)
+    return eta_checkpoint_samples(spec, [N], mc)[0]
 
 
 def eta_checkpoint_samples(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
@@ -294,11 +292,7 @@ def eta_checkpoint_samples(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
     exactly, while holding only the requested rows in memory.
     """
     Ns = sorted(int(n) for n in Ns)
-    if not Ns or Ns[0] < 1:
-        raise ValueError(f"need a nonempty list of bandwidths >= 1, got {Ns}")
-    sigma1_sq = sigma_at(spec, 1) ** 2
-    rows = np.array(Ns) - 1
-    return sigma1_sq * _fill_paths(spec, Ns[-1], mc, rows).astype(np.float64)
+    return (sigma_at(spec, 1) ** 2) * _path_rows(spec, Ns, mc).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +335,7 @@ def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
     chi-square has mean 2*phi(1) ~ 0.484 in units of sigma_1^2, already
     below the threshold.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    col = _fill_paths(spec, N, mc, N - 1)
-    t_norm, _ = _u0_scan(col, mc.samples)
+    t_norm, _ = _u0_scan(_path_rows(spec, [N], mc)[0], mc.samples)
     return (sigma_at(spec, 1) ** 2) * t_norm
 
 
@@ -360,11 +351,12 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     row, and the root is the same number whenever it lies above the
     floor: when the scan finds a positive root or saturates, or when the
     floor is 0.  A row that fails this (a positive floor and a root of 0)
-    is drawn again whole, in the calling thread.  With ``mc.monotonize``
-    a running maximum removes downward Monte Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and rescaled by
-    :func:`hull_table_for`.
-    Bit-identical output for identical (spec, N_max, mc) regardless of
-    ``threads``, and to solving every row of :func:`_fill_paths`.
+    is read again whole through :func:`_path_rows`, in the calling
+    thread.  With ``mc.monotonize`` a running maximum removes downward
+    Monte Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and
+    rescaled by :func:`hull_table_for`.  Bit-identical output for
+    identical (spec, N_max, mc) regardless of ``threads``, and to
+    :func:`_u0_scan` of every whole row of the path matrix.
     """
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
@@ -373,8 +365,7 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     solved, floored = _scan_rows(spec, N_max, mc, threads)
     redo = [r for r in floored if solved[r] == (0.0, False)]
     if redo:
-        paths = _fill_paths(spec, redo[-1] + 1, mc, np.array(redo))
-        for row, r in zip(paths, redo):
+        for row, r in zip(_path_rows(spec, [r + 1 for r in redo], mc), redo):
             solved[r] = _u0_scan(row, mc.samples)
     u0_norm = np.array([t for t, _ in solved], dtype=np.float64)
     saturated = [N for N, (_, sat) in enumerate(solved, 1) if sat]

@@ -37,14 +37,16 @@ def malformed_hull_docs():
     """The malformed variants of a valid hull document ``doc``.
 
     Each is valid JSON but not the document `save_hull_table` writes: not
-    an object at all, one field of the wrong JSON type, or a `saturated`
-    list that names a bandwidth past N_max or names one twice.
+    an object at all, one field of the wrong JSON type, a `saturated`
+    list that names a bandwidth past N_max or names one twice, or a
+    `SigmaFourth` list ending in NaN.
     """
     def variants(doc):
         wrong = {"spec": [], "saturated": "12", "monotonized": "false", "seed": True,
                  "N_max": "12", "mc_samples": 20000.7, "U0": [str(v) for v in doc["U0"]]}
         saturated = [[doc["N_max"] + 1], [1, 1]]
         return ([[], 5, "x", None] + [dict(doc, **{field: v}) for field, v in wrong.items()]
-                + [dict(doc, saturated=v) for v in saturated])
+                + [dict(doc, saturated=v) for v in saturated]
+                + [dict(doc, SigmaFourth=doc["SigmaFourth"][:-1] + [float("nan")])])
 
     return variants

@@ -98,6 +98,20 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, secti
     assert not (tmp_path / "hull.json").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a", float("nan")), ("a", float("inf")), ("a", -1.0), ("a_grid", [float("nan")]), ("a_grid", [-1.0]),
+], ids=["a-nan", "a-inf", "a-negative", "a_grid-nan", "a_grid-negative"])
+def test_amplitude_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys, field, value):
+    # a NaN amplitude used to fail `a > 0` and run the stem on the zero signal
+    doc = copy.deepcopy(BASE_HULL_CFG)
+    doc["experiment"].update({"kind": "stem" if field == "a" else "efficiency", "reps": 5, field: value})
+    monkeypatch.chdir(tmp_path)
+    assert riskhull.cli.main(["bench", "--config", write_config(tmp_path / "c.json", doc)]) == 2
+    assert f"error: experiment.{field}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "hull.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("values", [["1.5", True, 2], [2, True], "12", [1.0, -1.0]])
 def test_explicit_values_must_be_positive_reals(tmp_path, monkeypatch, capsys, values):
     doc = dict(copy.deepcopy(BASE_HULL_CFG), problem={"kind": "explicit", "values": values})

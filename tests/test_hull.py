@@ -69,23 +69,40 @@ def test_eta_kernel_cumulative():
     assert eta_paths_from_noise(B1, xi).tolist() == [[3.0, -1.0]]
 
 
-def test_sample_eta_paths_shape_and_determinism():
-    mc = McParams(samples=10_000, seed=9)
+# 20,000 samples in blocks of 4,096: five blocks, the last one partial
+SMALL_BLOCK = 4_096
+
+
+def test_sample_eta_paths_shape_and_determinism(monkeypatch):
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", SMALL_BLOCK)
+    mc = McParams(samples=20_000, seed=9)
     paths = sample_eta_paths(B1, 6, mc)
-    assert paths.shape == (10_000, 6)
+    assert paths.shape == (20_000, 6)
     assert np.array_equal(paths, sample_eta_paths(B1, 6, mc))
     # last column of the coupled matrix is exactly the single-column sampler
     assert np.array_equal(paths[:, 5], eta_samples_at(B1, 6, mc))
+    # and every block holds that block kernel call's rows
+    for b in range(5):
+        block = riskhull.hull._fill_paths(B1, 6, mc, b).T.astype(np.float64)
+        assert np.array_equal(paths[b * SMALL_BLOCK:(b + 1) * SMALL_BLOCK], block)
+    with pytest.raises(ValueError):
+        sample_eta_paths(B1, 0, mc)
+    with pytest.raises(ValueError):
+        eta_samples_at(B1, 0, mc)
 
 
-def test_eta_checkpoint_samples_match_columns():
-    mc = McParams(samples=10_000, seed=4)
+def test_eta_checkpoint_samples_match_columns(monkeypatch):
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", SMALL_BLOCK)
+    mc = McParams(samples=20_000, seed=4)
     paths = sample_eta_paths(B1, 9, mc)
-    chk = eta_checkpoint_samples(B1, [2, 5, 9], mc)
-    assert chk.shape == (3, 10_000)
+    chk = eta_checkpoint_samples(B1, [9, 2, 5], mc)
+    assert chk.shape == (3, 20_000)
     # checkpoints are rows of the same block kernel, so they match exactly
     for row, N in zip(chk, (2, 5, 9)):
         assert np.array_equal(row, paths[:, N - 1])
+    for Ns in ([], [0, 3]):
+        with pytest.raises(ValueError):
+            eta_checkpoint_samples(B1, Ns, mc)
 
 
 @pytest.mark.slow
@@ -193,12 +210,16 @@ def test_hull_table_thread_count_invariance():
     assert t1.saturated == t4.saturated
 
 
-def test_hull_table_matches_standalone_solver():
+def test_hull_table_matches_standalone_solver(monkeypatch):
+    # compute_u0 reads whole rows across five blocks; the build streams them
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", SMALL_BLOCK)
     mc = McParams(samples=20_000, seed=7, monotonize=False)
     for threads in (1, 2):
         table = build_hull_table(B1, 12, mc, threads=threads)
         for N in (1, 2, 7, 12):
             assert table.U0[N - 1] == compute_u0(B1, N, mc)
+    with pytest.raises(ValueError):
+        compute_u0(B1, 0, mc)
 
 
 def test_hull_table_monotonized_is_running_max():
@@ -223,7 +244,7 @@ def test_hull_table_saturation_flags_deep_tail():
 def _full_matrix_table(spec, N_max, mc):
     """The reference table, `_u0_scan` on every row of the whole path matrix,
     and that matrix."""
-    paths = riskhull.hull._fill_paths(spec, N_max, mc)
+    paths = riskhull.hull._path_rows(spec, range(1, N_max + 1), mc)
     solved = [riskhull.hull._u0_scan(row, mc.samples) for row in paths]
     u0 = np.array([t for t, _ in solved])
     return (np.maximum.accumulate(u0) if mc.monotonize else u0), tuple(

@@ -29,8 +29,8 @@ def test_every_benchmark_boundary_exists():
         if not hasattr(importlib.import_module(module_name), attr):
             missing.append(target)
     assert missing == []
-    # the tracer reads the path matrix's size and itemsize
-    paths = riskhull.hull._fill_paths(SigmaSpec.power_law(1.0, 1.0), 3, McParams(samples=10_000, seed=1))
+    # the tracer reads the size and itemsize of each block of the path matrix
+    paths = riskhull.hull._fill_paths(SigmaSpec.power_law(1.0, 1.0), 3, McParams(samples=10_000, seed=1), 0)
     assert isinstance(paths, np.ndarray) and paths.size * paths.itemsize == 3 * 10_000 * 4
 
 
