@@ -68,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import freeze
 # project, squared_loss and simulate are not called here; perfbench's tracer
 # looks them up on this module.
 from .estimators import oracle_risk, project, squared_loss  # noqa: F401
@@ -103,7 +104,6 @@ __all__ = [
     "write_efficiency_csv",
     "write_ratio_csv",
     "write_manifest",
-    "atomic_write_text",
 ]
 
 DEFAULT_REPS = 10_000
@@ -190,6 +190,10 @@ class StemData:
     normalized_loss: np.ndarray
     N_emp: float
     R_emp: float
+
+    def __post_init__(self) -> None:
+        freeze(self, "selected_N", np.int64)
+        freeze(self, "normalized_loss")
 
 
 def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
@@ -279,6 +283,11 @@ class EfficiencyCurve:
     oracle_risk: np.ndarray
     method: str
     reps: int
+
+    def __post_init__(self) -> None:
+        for field in ("a_grid", "efficiency", "std_error", "oracle_risk"):
+            freeze(self, field)
+        freeze(self, "oracle_N", np.int64)
 
 
 def _amplitude(task) -> tuple[int, float, list[tuple[float, float]]]:

@@ -1,6 +1,7 @@
 """Type checks of the values the program reads from outside: the config,
 the hull cache and the noise spectrum.  Each returns the value as its
 Python type or raises ValueError; strings and booleans are never converted.
+``freeze`` makes a record's array field a read-only copy.
 """
 
 import math
@@ -15,6 +16,19 @@ def checked(name: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
+
+
+def freeze(record, field: str, dtype=np.float64) -> np.ndarray:
+    """Set ``record.field`` to a read-only 1-D copy of it as ``dtype`` and return that copy.
+
+    The copy shares no memory with the value passed in, so no caller can
+    change a record after construction; frozen dataclasses call it from
+    ``__post_init__``.
+    """
+    arr = np.asarray(getattr(record, field), dtype=dtype).reshape(-1).copy()
+    arr.flags.writeable = False
+    object.__setattr__(record, field, arr)
+    return arr
 
 
 def _of_type(kind: type, what: str):

@@ -155,6 +155,8 @@ class RunConfig:
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
         self.reps = read("reps", pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
+        if self.kind == "efficiency" and self.reps < 2:
+            raise ConfigError(f"experiment.reps: an efficiency run needs >= 2 for a standard error, got {self.reps}")
         self.seed = read("seed", nonneg_int, default=0, override=overrides.get("seed"))
         self.W = read("W", positive, default=6.0)
         self.m = read("m", positive, default=6.0)

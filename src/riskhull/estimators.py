@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import freeze
 from .hull import HullTable, check_hull_spec, rhm_penalty
 from .sequence_model import Observation, SigmaSpec, Signal, sigma_values, unit_spec
 
@@ -41,13 +42,11 @@ class RiskCurve:
     min_value: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
+        arr = freeze(self, "values")
         if arr.size < 1:
             raise ValueError("risk curve needs at least one bandwidth")
         if not (1 <= self.argmin_N <= arr.size):
             raise ValueError(f"argmin_N {self.argmin_N} outside 1..{arr.size}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 def project(obs: Observation, N: int) -> Signal:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import boolean, checked, list_of, nonneg_int, obj, pos_int, real, text
+from .checks import boolean, checked, freeze, list_of, nonneg_int, obj, pos_int, real, text
 from .sequence_model import (
     SigmaSpec,
     fingerprint,
@@ -127,8 +127,7 @@ class HullTable:
     saturated: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        u0 = np.asarray(self.U0, dtype=np.float64).reshape(-1).copy()
-        s4 = np.asarray(self.SigmaFourth, dtype=np.float64).reshape(-1).copy()
+        u0, s4 = freeze(self, "U0"), freeze(self, "SigmaFourth")
         if self.N_max < 1 or u0.size != self.N_max or s4.size != self.N_max:
             raise ValueError(f"inconsistent table sizes: N_max={self.N_max}, U0={u0.size}, SigmaFourth={s4.size}")
         if np.any(u0 < 0) or not np.all(np.isfinite(u0)):
@@ -142,10 +141,6 @@ class HullTable:
         if any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise ValueError(f"saturated must list strictly increasing bandwidths in 1..{self.N_max}, "
                              f"got {list(saturated)}")
-        u0.flags.writeable = False
-        s4.flags.writeable = False
-        object.__setattr__(self, "U0", u0)
-        object.__setattr__(self, "SigmaFourth", s4)
         object.__setattr__(self, "saturated", saturated)
 
 

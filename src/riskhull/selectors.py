@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .checks import freeze
 from .hull import HullTable, check_hull_spec, rhm_penalty
 from .sequence_model import Observation, SigmaSpec, sigma_values
 
@@ -49,11 +50,9 @@ class SelectorResult:
     method: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.objective_values, dtype=np.float64).reshape(-1).copy()
+        arr = freeze(self, "objective_values")
         if not (1 <= self.N_selected <= arr.size):
             raise ValueError(f"N_selected {self.N_selected} outside 1..{arr.size}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "objective_values", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +69,10 @@ class Selector:
     hull: HullTable | None = None
 
     def __post_init__(self) -> None:
-        pen = np.array(self.pen, dtype=np.float64)
-        if pen.shape != (self.N_max,):
-            raise ValueError(f"pen must hold N_max={self.N_max} values, got shape {pen.shape}")
-        if np.isnan(pen).any():
+        if np.shape(self.pen) != (self.N_max,):
+            raise ValueError(f"pen must hold N_max={self.N_max} values, got shape {np.shape(self.pen)}")
+        if np.isnan(freeze(self, "pen")).any():
             raise ValueError("pen must hold no NaN")
-        pen.flags.writeable = False
-        object.__setattr__(self, "pen", pen)
 
     def check(self, spec: SigmaSpec, n_max: int) -> None:
         """Raise ValueError unless the rule applies to observations of ``spec`` with n_max entries.

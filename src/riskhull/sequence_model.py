@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import checked, positive, real
+from .checks import checked, freeze, positive, real
 
 __all__ = [
     "SigmaSpec",
@@ -86,7 +86,7 @@ def derive_seed(seed: int, *stream: int) -> int:
 _THREAD = threading.local()
 
 
-def _philox(key: list[int], row: int = 0) -> np.random.Generator:
+def _philox(key: list[int], row: int) -> np.random.Generator:
     """This thread's one Philox generator, keyed to ``key`` with its counter at ``[0, 0, row, 0]``.
 
     Assigning the state empties the buffer, so the generator then draws
@@ -256,11 +256,9 @@ class Signal:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64).reshape(-1).copy()
+        arr = freeze(self, "coeffs")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("signal coefficients must all be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
 
     def __len__(self) -> int:
         return int(self.coeffs.size)
@@ -290,7 +288,7 @@ class Observation:
     seed: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.ys, dtype=np.float64).reshape(-1).copy()
+        arr = freeze(self, "ys")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if arr.size != self.n_max:
@@ -300,8 +298,6 @@ class Observation:
         _check_index(self.sigma, self.n_max)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "ys", arr)
 
 
 def make_observation(spec: SigmaSpec, signal: Signal, xi: np.ndarray, seed: int = 0) -> Observation:
@@ -313,18 +309,14 @@ def make_observation(spec: SigmaSpec, signal: Signal, xi: np.ndarray, seed: int 
 
 
 def simulate(spec: SigmaSpec, signal: Signal, n_max: int, seed: int) -> Observation:
-    """Draw one observation with xi from the Philox stream of ``seed``.
+    """Draw one observation with xi from row 0 of ``normal_rows(seed, ...)``.
 
     Identical seed gives a bit-identical observation no matter how many
     threads or processes are running.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    # the draw of rng_for(seed), from this thread's re-keyed generator
-    xi = _philox(np.random.SeedSequence(seed).generate_state(2).tolist()).standard_normal(n_max)
-    return make_observation(spec, signal, xi, seed=seed)
+    return make_observation(spec, signal, normal_rows(seed, 0, n_max, np.empty((1, n_max)))[0], seed=seed)
 
 
 def signal_family(a: float, W: float, m: float, epsilon: float, n_max: int) -> Signal:

@@ -92,6 +92,27 @@ def test_stem_summary_consistency_and_determinism():
     assert np.array_equal(stem.selected_N, again.selected_N)
 
 
+def test_stem_and_efficiency_records_hold_read_only_copies():
+    # both records used to keep writable arrays; every curve of one call shared
+    # its oracle arrays, and a_grid was a view of the caller's grid
+    grid = np.array([1.0, 10.0])
+    curves = efficiency_curves(INV, ["ure", "ure"], grid, 6.0, 6.0, 20, 10, seed=0)
+    grid[0] = 99.0
+    assert [c.a_grid[0] for c in curves] == [1.0, 1.0]
+    for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
+        first, second = (getattr(c, field) for c in curves)
+        assert not np.shares_memory(first, second), field
+        assert not first.flags.writeable and not second.flags.writeable, field
+    assert curves[0].oracle_N.dtype == np.int64
+    selected = np.array([2, 3])
+    stem = riskhull.bench.StemData(selected_N=selected, normalized_loss=[0.5, 1.5], N_emp=2.5, R_emp=1.0)
+    selected[0] = 7
+    assert stem.selected_N.tolist() == [2, 3] and stem.selected_N.dtype == np.int64
+    for arr in (stem.selected_N, stem.normalized_loss):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_stem_rejects_bad_reps():
     with pytest.raises(ValueError):
         stem_experiment(FLAT, ZERO_SIGNAL, ure_selector(5), 0, 5, seed=0)

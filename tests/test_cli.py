@@ -112,6 +112,16 @@ def test_amplitude_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_efficiency_reps_below_two_exits_2_before_any_file(tmp_path, monkeypatch, capsys):
+    # reps 1 used to build and cache the hull, then fail without naming the field
+    doc = dict(copy.deepcopy(BASE_HULL_CFG), selector={"methods": ["ure", "rhm"]})
+    doc["experiment"].update({"kind": "efficiency", "reps": 1, "a_grid": [1.0]})
+    monkeypatch.chdir(tmp_path)
+    assert riskhull.cli.main(["bench", "--config", write_config(tmp_path / "c.json", doc)]) == 2
+    assert "error: experiment.reps:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("values", [["1.5", True, 2], [2, True], "12", [1.0, -1.0]])
 def test_explicit_values_must_be_positive_reals(tmp_path, monkeypatch, capsys, values):
     doc = dict(copy.deepcopy(BASE_HULL_CFG), problem={"kind": "explicit", "values": values})
