@@ -13,6 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
+from riskhull import SigmaSpec, default_n_max
 from riskhull.cli import main as cli_main
 
 
@@ -30,7 +31,7 @@ def run() -> None:
     root = Path(args.out)
     root.mkdir(parents=True, exist_ok=True)
     for beta in args.betas:
-        n_max = 200 if beta <= 1 else 100
+        n_max = default_n_max(SigmaSpec.power_law(1.0, beta))
         config = {
             "problem": {"kind": "power-law", "epsilon": 1.0, "beta": beta},
             "experiment": {"kind": "efficiency", "reps": args.reps, "n_max": n_max,

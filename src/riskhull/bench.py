@@ -28,25 +28,20 @@ draw itself is 4-6 us; forming y and the residuals takes about
 1.3 us, selecting with URE and RHM about 2.2 us and the two losses
 about 2.5 us.
 
-An efficiency sweep is one task per amplitude, ``_amplitude``, run in a
-plain loop or, with ``workers > 1``, on worker processes forked with
-``os.fork``.  Each takes one contiguous chunk of the amplitudes and
-sends its results back pickled through a pipe.  Every task has its own
-seed and returns plain numbers, which go back in amplitude order, so no
-output depends on the worker count.  Processes, not threads: the
-engine's numpy calls are too short to get past the GIL.  In-process
-sweeps of 20 amplitudes x 1,000 reps of URE and RHM at n_max = 200 on a
-2-core x86 machine took 0.29-0.37 s in one process, 0.40-0.43 s on two
-threads and 0.17-0.21 s on two forked processes.  About a third of the
-serial time is numpy's normal draw, fixed serial work that only a second
-core can share.  No ``multiprocessing`` pool: after numpy, importing it
-took about 19 ms and starting it and mapping over two processes about
-12 ms, against about 5 ms for forking two workers directly.  The caller
-runs no chunk itself and only waits, so a task that ends its process
-ends a worker, never the caller.  Without ``os.fork`` the loop runs in
-one process.  Python >= 3.12 may warn about forking a process that holds
-threads, such as OpenBLAS's pool: the engine makes no BLAS call, so the
-workers never use it.
+An efficiency sweep is one function of the amplitude index, mapped by
+``_sweep`` over the grid in a plain loop or, with ``workers > 1``, on
+worker processes forked with ``os.fork``, which inherit the function.
+Each worker takes one contiguous chunk of the indices and sends its
+results back pickled through a pipe.  Every amplitude has its own seed,
+derived in the caller, and its plain numbers go back in amplitude order,
+so no output depends on the worker count.  Processes, not threads: the
+engine's numpy calls are too short to get past the GIL.  README "Design
+notes" gives the timings, and why no ``multiprocessing`` pool.  The
+caller runs no chunk itself and only waits, so a call that ends its
+process ends a worker, never the caller.  Without ``os.fork`` the loop
+runs in one process.  Python >= 3.12 may warn about forking a process
+that holds threads, such as OpenBLAS's pool: the engine makes no BLAS
+call, so the workers never use it.
 
 Efficiency curves are evaluated with the spectrum rescaled to sigma_1 = 1
 and the signal family built at unit noise level.  Bandwidth selection and
@@ -290,44 +285,29 @@ class EfficiencyCurve:
         freeze(self, "oracle_N", np.int64)
 
 
-def _amplitude(task) -> tuple[int, float, list[tuple[float, float]]]:
-    """(oracle N, oracle risk, (mean, se) of each selector's loss) at one amplitude.
+def _sweep(run, count: int, workers: int) -> list:
+    """``run(i)`` for i in ``range(count)``, in order, on up to ``workers`` forked processes.
 
-    ``task`` is ``(uspec, selectors, a, W, m, reps, n_max, seed)``, with
-    the amplitude's own seed.  This is the one unit of work of an
-    efficiency sweep, run in a plain loop or in a worker process.
+    Each process runs one contiguous chunk of the indices and sends back
+    the pickled results, or the exception a call raised, which is raised
+    here as the plain loop would raise it.  The caller only waits, so a
+    call that ends in ``os._exit`` ends a worker, not the caller.  Without
+    ``os.fork``, and for one worker or one index, it is a plain loop.  A
+    worker that dies without a result, as when the OS kills it for lack
+    of memory, raises MemoryError.  No worker outlives the call.
     """
-    uspec, selectors, a, W, m, reps, n_max, seed = task
-    sig = signal_family(a, W, m, 1.0, n_max)
-    curve = oracle_risk(sig, uspec, n_max)
-    runs = _replicate(uspec, sig, selectors, reps, n_max, seed)
-    return curve.argmin_N, curve.min_value, [_mean_se(losses) for _, losses in runs]
-
-
-def _sweep(tasks: list, workers: int) -> list:
-    """``_amplitude`` of every task, in order, on up to ``workers`` forked processes.
-
-    Each process takes one contiguous chunk of the tasks, runs it and
-    sends back the pickled results, or the exception a task raised, which
-    is raised here as the plain loop would raise it.  The caller only
-    waits: a chunk run here could end the caller's process, as a task
-    that calls ``os._exit`` does.  Without ``os.fork``, and for one worker
-    or one task, the tasks run in a plain loop.  A worker that dies
-    without a result, as when the OS kills it for lack of memory, raises
-    MemoryError.  No worker outlives the call.
-    """
-    if workers < 2 or len(tasks) < 2 or not hasattr(os, "fork"):
-        return [_amplitude(task) for task in tasks]
-    chunk = -(-len(tasks) // min(workers, len(tasks)))
+    if workers < 2 or count < 2 or not hasattr(os, "fork"):
+        return [run(i) for i in range(count)]
+    chunk = -(-count // min(workers, count))
     pipes, running = [], []  # the read end of each chunk's pipe; the workers not yet reaped
     try:
-        for lo in range(0, len(tasks), chunk):
+        for lo in range(0, count, chunk):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_chunk(tasks[lo:lo + chunk], write)
+                    _run_chunk(run, range(lo, min(lo + chunk, count)), write)
             finally:
                 os.close(write)
             running.append(pid)
@@ -357,8 +337,8 @@ def _sweep(tasks: list, workers: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _run_chunk(tasks: list, write: int) -> None:
-    """Worker side of ``_sweep``: run ``tasks``, pickle the outcome to ``write`` and exit.
+def _run_chunk(run, indices: range, write: int) -> None:
+    """Worker side of ``_sweep``: ``run`` each index, pickle the outcome to ``write`` and exit.
 
     ``os._exit`` runs no atexit handler and flushes none of the stdio
     buffers the fork copied, which the parent flushes itself.  Exit 0 says
@@ -367,7 +347,7 @@ def _run_chunk(tasks: list, write: int) -> None:
     code = 1
     try:
         try:
-            outcome = [_amplitude(task) for task in tasks]
+            outcome = [run(i) for i in indices]
         except Exception as exc:
             outcome = exc
         with open(write, "wb") as pipe:
@@ -399,23 +379,20 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
         check_hull_spec(hull, uspec, "unit_spec(spec)")
     selectors = method_selectors(methods, n_max, alpha=alpha, hull=hull)
     _check_se_reps(reps)
+    seeds = [derive_seed(seed, ai) for ai in range(a_grid.size)]
 
-    tasks = [(uspec, selectors, float(a), W, m, reps, n_max, derive_seed(seed, ai))
-             for ai, a in enumerate(a_grid)]
-    shape = (len(selectors), a_grid.size)
-    eff = np.empty(shape)
-    se_eff = np.empty(shape)
-    oN = np.empty(a_grid.size, dtype=np.int64)
-    orisk = np.empty(a_grid.size)
-    for ai, (argmin_N, min_value, stats) in enumerate(_sweep(tasks, workers)):
-        oN[ai] = argmin_N
-        orisk[ai] = min_value
-        for j, (mean, se) in enumerate(stats):
-            eff[j, ai] = min_value / mean
-            se_eff[j, ai] = min_value * se / mean**2
-    return [EfficiencyCurve(a_grid=a_grid, efficiency=eff[j], std_error=se_eff[j],
-                            oracle_N=oN, oracle_risk=orisk, method=method, reps=reps)
-            for j, method in enumerate(methods)]
+    def amplitude(ai: int) -> tuple:
+        """Oracle N and risk, then each selector's efficiency and its standard error."""
+        sig = signal_family(float(a_grid[ai]), W, m, 1.0, n_max)
+        curve = oracle_risk(sig, uspec, n_max)
+        best = curve.min_value
+        stats = [_mean_se(losses) for _, losses in _replicate(uspec, sig, selectors, reps, n_max, seeds[ai])]
+        return curve.argmin_N, best, *[x for mean, se in stats for x in (best / mean, best * se / mean**2)]
+
+    oracle_N, best, *columns = zip(*_sweep(amplitude, a_grid.size, workers))
+    return [EfficiencyCurve(a_grid=a_grid, efficiency=eff, std_error=se, oracle_N=oracle_N,
+                            oracle_risk=best, method=method, reps=reps)
+            for method, eff, se in zip(methods, columns[0::2], columns[1::2])]
 
 
 def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,

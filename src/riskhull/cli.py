@@ -290,7 +290,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v4",
+        "format": "riskhull-manifest-v5",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,
@@ -311,8 +311,8 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: d
 
 
 def cmd_hull(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     table, path, hit = hull_read_through(cfg, cfg.spec)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     n0 = _envelope_crossing(table, cfg.spec)
     state = "cache hit" if hit else "built"
     print(f"hull {state}: {path}")

@@ -63,31 +63,35 @@ def squared_loss(estimate: Signal, truth: Signal) -> float:
     return float(np.sum(diff**2))
 
 
+def _risk_values(signal: Signal, spec: SigmaSpec, N_max: int) -> np.ndarray:
+    """The risk R(theta, N) of every N = 1..N_max, in one pass.
+
+    The bias tails are one reversed cumulative sum of theta^2, adding the
+    smallest (last) terms first, and the variances one cumulative sum of
+    sigma^2; entry N-1 is the same for every N_max >= N.
+    """
+    if N_max < 1:
+        raise ValueError(f"bandwidth N must be >= 1, got {N_max}")
+    theta2 = signal.padded(max(N_max, len(signal))) ** 2
+    tail = np.cumsum(theta2[::-1])[::-1]  # tail[N] = sum_{k>N} theta_k^2
+    return np.append(tail[1:], 0.0)[:N_max] + np.cumsum(sigma_values(spec, N_max) ** 2)
+
+
 def projection_risk(signal: Signal, spec: SigmaSpec, N: int) -> float:
     """Exact risk sum_{k>N} theta_k^2 + sum_{k<=N} sigma_k^2.
 
     The bias tail runs over the signal's stored prefix only.
     """
-    if N < 1:
-        raise ValueError(f"bandwidth N must be >= 1, got {N}")
-    coeffs = signal.coeffs
-    tail = float(np.sum(coeffs[N:] ** 2)) if N < coeffs.size else 0.0
-    var = float(np.sum(sigma_values(spec, N) ** 2))
-    return tail + var
+    return float(_risk_values(signal, spec, N)[-1])
 
 
 def oracle_risk(signal: Signal, spec: SigmaSpec, N_max: int) -> RiskCurve:
     """Exhaustive scan of the projection risk over N = 1..N_max.
 
-    Ties break towards the smallest bandwidth.  Each curve entry is the
-    pointwise value of :func:`projection_risk`, bit for bit.
+    Ties break towards the smallest bandwidth.  Entry N-1 is
+    ``projection_risk(N)`` bit for bit: both read :func:`_risk_values`.
     """
-    if N_max < 1:
-        raise ValueError(f"N_max must be >= 1, got {N_max}")
-    c2 = signal.coeffs**2
-    s2 = sigma_values(spec, N_max) ** 2
-    # ndarray.sum is np.sum's add.reduce without its dispatch
-    values = np.array([float(c2[N:].sum()) + float(s2[:N].sum()) for N in range(1, N_max + 1)])
+    values = _risk_values(signal, spec, N_max)
     idx = int(np.argmin(values))
     return RiskCurve(values=values, argmin_N=idx + 1, min_value=float(values[idx]))
 

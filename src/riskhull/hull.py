@@ -161,13 +161,20 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
     samples; block b holds the columns from ``b * _SAMPLE_BLOCK`` on (at
     most ``_SAMPLE_BLOCK`` of them), drawn from the Philox stream
     (mc.seed, b) in the calling thread.  The draw fills the block row by
-    row, so its first n rows do not depend on N_max >= n.
+    row, so its first n rows do not depend on N_max >= n.  A spectrum
+    whose paths could overflow float32 raises ValueError before the draw.
     """
+    w = _norm_weights(spec, N_max)
+    limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) max xi^2; P(|xi| > 10) = 1.5e-23
+    if not w.sum() <= limit:
+        shape = "this explicit sigma table" if spec.beta is None else f"beta = {spec.beta}"
+        raise ValueError(f"the spectrum with {shape} is too steep for N_max = {N_max}: its weights "
+                         f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
     x = rng_for(mc.seed, block).standard_normal((N_max, n), dtype=np.float32)
     np.multiply(x, x, out=x)
     x -= np.float32(1.0)
-    x *= _norm_weights(spec, N_max).astype(np.float32)[:, None]
+    x *= w.astype(np.float32)[:, None]
     # the cumulative sum over N row by row: the float32 adds of
     # np.add.accumulate(x, axis=0) in the same order, at a small
     # fraction of that call's cost

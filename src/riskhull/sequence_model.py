@@ -237,12 +237,12 @@ def spec_to_dict(spec: SigmaSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> SigmaSpec:
+    """The spec of a document :func:`spec_to_dict` writes: exactly the keys of its kind."""
     kind = doc.get("kind")
-    if kind == POWER_LAW:
-        return SigmaSpec.power_law(doc["epsilon"], doc["beta"])
-    if kind == EXPLICIT:
-        return SigmaSpec.explicit(doc["values"])
-    raise ValueError(f"unknown spec kind {kind!r}")
+    odd = sorted(doc.keys() ^ ({"kind", "epsilon", "beta"} if kind == POWER_LAW else {"kind", "values"}))
+    if odd:
+        raise ValueError(f"{odd[0]}: {'unknown' if odd[0] in doc else 'missing'} key for kind {kind!r}")
+    return SigmaSpec(**doc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -363,6 +363,16 @@ def test_engine_workers_leave_no_child_and_no_descriptor(monkeypatch, replicate,
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_rejects_non_finite_observations(workers):
+    # sigma_k = k**400 is inf in float64 from k = 6 on, so every observation has an inf entry
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="observation entries must all be finite"):
+        efficiency_curves(SigmaSpec.power_law(1.0, 400.0), ("ure",), [0.5, 5.0], 6.0, 6.0, 20, 10,
+                          seed=0, workers=workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_engine_rejects_fewer_than_one_worker():
     with pytest.raises(ValueError, match="workers"):
         efficiency_curves(INV, ("ure",), [1.0, 2.0], 6.0, 6.0, 10, 10, seed=0, workers=0)
@@ -389,9 +399,10 @@ def test_engine_does_not_import_numpy_ma(cli_env):
 # ---------------------------------------------------------------------------
 
 # sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, under
-# the stream layout of riskhull-manifest-v4 (replication r at counter offset
-# r, as the reference loop above draws it); any change to a random stream,
-# the selection or the loss arithmetic moves them.
+# riskhull-manifest-v5: the stream layout of v4 (replication r at counter
+# offset r, as the reference loop above draws it) and the oracle curve's
+# cumulative sums; any change to a random stream, the selection, the loss
+# or the oracle risk arithmetic moves them.
 GOLDEN_CONFIG = {
     "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
     "experiment": {"n_max": 60, "reps": 300, "seed": 4, "a_grid": [0.5, 5.0, 50.0]},
@@ -399,8 +410,8 @@ GOLDEN_CONFIG = {
     "hull": {"samples": 20_000, "seed": 1},
 }
 GOLDEN_DIGESTS = {
-    "efficiency_ure.csv": "8c207edfa5d03d973cdd3e0c2398e9a58588a63b41af0bafd0d0d53d55ee2a9c",
-    "efficiency_rhm.csv": "490c34d647ef6fdc0dec20a2374c6a6dafb101959c7ab270ecbe596f0d195650",
+    "efficiency_ure.csv": "93c4fa1ff64a92dce264baec5bc173833f1f265b3e88f4e2a86766c84b8dd103",
+    "efficiency_rhm.csv": "e27e70ce1458b509237ae96699f86427a8eedf094a710b0677db238825380f53",
     "stem_ure.csv": "bac450fd38755d7a2b1b478fa2ef038489921d0bebe360003eacc7d8802e5286",
     "stem_rhm.csv": "88806ebaa6394742a0318267100fdd8445ca8fcd5c440e0d6e5b84b19c283146",
 }

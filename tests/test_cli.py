@@ -223,6 +223,21 @@ def test_hull_corrupted_cache_exits_3(tmp_path, run_cli, monkeypatch, capsys, ma
         capsys.readouterr()
 
 
+def test_hull_too_steep_for_float32_exits_2_before_any_draw(tmp_path, monkeypatch, capsys):
+    # (sigma_200/sigma_1)^2 = 200^18 overflows float32; the build must say so before drawing
+    calls = []
+    monkeypatch.setattr(riskhull.hull, "rng_for", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", dict(
+        BASE_HULL_CFG, problem={"kind": "power-law", "epsilon": 1.0, "beta": 9.0},
+        experiment={"n_max": 200}, hull={"samples": 10_000, "seed": 1, "cache": "hull.json"}))
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "beta = 9.0 is too steep for N_max = 200" in err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]  # no cache, no output directory
+
+
 def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):
     class Refuse:
         def standard_normal(self, *args, **kwargs):
@@ -392,7 +407,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v4"
+    assert manifest["format"] == "riskhull-manifest-v5"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}

@@ -13,6 +13,7 @@ from riskhull import (
     SigmaSpec,
     Signal,
     ZERO_SIGNAL,
+    default_a_grid,
     derive_seed,
     oracle_risk,
     project,
@@ -120,6 +121,21 @@ def test_oracle_risk_is_pointwise_projection_risk():
             for N in range(1, 201):
                 assert curve.values[N - 1] == projection_risk(sig, spec, N)
             assert curve.min_value == min(curve.values)
+
+
+@pytest.mark.parametrize("beta,n_max", [(0.0, 200), (1.0, 200), (2.0, 100)])
+def test_oracle_risk_matches_fsum_reference(beta, n_max):
+    # the efficiency sweep's curves: the default grid, W = m = 6, unit noise
+    spec = SigmaSpec.power_law(1.0, beta)
+    s2 = [(float(k) ** beta) ** 2 for k in range(1, n_max + 1)]
+    for a in default_a_grid():
+        sig = signal_family(float(a), 6.0, 6.0, 1.0, n_max)
+        c2 = [c * c for c in sig.coeffs.tolist()]
+        ref = [math.fsum(c2[N:] + s2[:N]) for N in range(1, n_max + 1)]
+        curve = oracle_risk(sig, spec, n_max)
+        for value, exact in zip(curve.values.tolist(), ref):
+            assert abs(value - exact) <= 1e-15 * exact
+        assert curve.argmin_N == 1 + ref.index(min(ref))
 
 
 def test_oracle_risk_smallest_tie():
