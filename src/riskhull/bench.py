@@ -28,20 +28,14 @@ draw itself is 4-6 us; forming y and the residuals takes about
 1.3 us, selecting with URE and RHM about 2.2 us and the two losses
 about 2.5 us.
 
-An efficiency sweep is one function of the amplitude index, mapped by
-``_sweep`` over the grid in a plain loop or, with ``workers > 1``, on
-worker processes forked with ``os.fork``, which inherit the function.
-Each worker takes one contiguous chunk of the indices and sends its
-results back pickled through a pipe.  Every amplitude has its own seed,
-derived in the caller, and its plain numbers go back in amplitude order,
-so no output depends on the worker count.  Processes, not threads: the
-engine's numpy calls are too short to get past the GIL.  README "Design
-notes" gives the timings, and why no ``multiprocessing`` pool.  The
-caller runs no chunk itself and only waits, so a call that ends its
-process ends a worker, never the caller.  Without ``os.fork`` the loop
-runs in one process.  Python >= 3.12 may warn about forking a process
-that holds threads, such as OpenBLAS's pool: the engine makes no BLAS
-call, so the workers never use it.
+An efficiency sweep is one function of the amplitude index, mapped over
+the grid by ``hull._sweep``, the one forked map, which the hull build's
+blocks run on too: a plain loop or, with ``workers > 1``, contiguous
+chunks of the indices on worker processes forked with ``os.fork``, which
+inherit the function.  Every amplitude has its own seed, derived in the
+caller, and its plain numbers go back in amplitude order, so no output
+depends on the worker count.  README "Design notes" gives the timings,
+and why no ``multiprocessing`` pool.
 
 Efficiency curves are evaluated with the spectrum rescaled to sigma_1 = 1
 and the signal family built at unit noise level.  Bandwidth selection and
@@ -56,8 +50,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
-import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -67,7 +59,7 @@ from .checks import freeze
 # project, squared_loss and simulate are not called here; perfbench's tracer
 # looks them up on this module.
 from .estimators import oracle_risk, project, squared_loss  # noqa: F401
-from .hull import HullTable, atomic_write_text, check_hull_spec, penalty_ratio
+from .hull import HullTable, _sweep, atomic_write_text, check_hull_spec, penalty_ratio
 from .selectors import Selector, rhm_selector, ure_energy, ure_selector
 from .sequence_model import (
     SigmaSpec,
@@ -283,78 +275,6 @@ class EfficiencyCurve:
         for field in ("a_grid", "efficiency", "std_error", "oracle_risk"):
             freeze(self, field)
         freeze(self, "oracle_N", np.int64)
-
-
-def _sweep(run, count: int, workers: int) -> list:
-    """``run(i)`` for i in ``range(count)``, in order, on up to ``workers`` forked processes.
-
-    Each process runs one contiguous chunk of the indices and sends back
-    the pickled results, or the exception a call raised, which is raised
-    here as the plain loop would raise it.  The caller only waits, so a
-    call that ends in ``os._exit`` ends a worker, not the caller.  Without
-    ``os.fork``, and for one worker or one index, it is a plain loop.  A
-    worker that dies without a result, as when the OS kills it for lack
-    of memory, raises MemoryError.  No worker outlives the call.
-    """
-    if workers < 2 or count < 2 or not hasattr(os, "fork"):
-        return [run(i) for i in range(count)]
-    chunk = -(-count // min(workers, count))
-    pipes, running = [], []  # the read end of each chunk's pipe; the workers not yet reaped
-    try:
-        for lo in range(0, count, chunk):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_chunk(run, range(lo, min(lo + chunk, count)), write)
-            finally:
-                os.close(write)
-            running.append(pid)
-        results = []
-        for pipe in pipes:
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(running[0], 0)
-            running.pop(0)
-            if status or not data:
-                raise MemoryError("a worker process of the efficiency sweep died before returning "
-                                  "its amplitudes (killed, for example, by the OS when memory "
-                                  "runs out)")
-            outcome = pickle.loads(data)  # written by our own worker
-            if isinstance(outcome, Exception):
-                raise outcome
-            results += outcome
-        return results
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if running:
-            from signal import SIGKILL  # not at the top: importing signal costs about 1 ms
-
-            for pid in running:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _run_chunk(run, indices: range, write: int) -> None:
-    """Worker side of ``_sweep``: ``run`` each index, pickle the outcome to ``write`` and exit.
-
-    ``os._exit`` runs no atexit handler and flushes none of the stdio
-    buffers the fork copied, which the parent flushes itself.  Exit 0 says
-    the outcome was written in full.
-    """
-    code = 1
-    try:
-        try:
-            outcome = [run(i) for i in indices]
-        except Exception as exc:
-            outcome = exc
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float, m: float,

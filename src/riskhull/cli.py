@@ -12,13 +12,13 @@ A single JSON config document drives every run; command-line flags
 field reads is a config error.  Every run writes a manifest whose
 ``config`` is the fully resolved config: fed back in as the config
 document, it replays the run and reproduces its outputs bit for bit.
-``--threads`` never changes any output byte.  It bounds the hull
-build's worker threads and the worker processes of ``bench``'s
-efficiency sweep, which forks up to that many processes for its
-amplitudes where ``os.fork`` exists (elsewhere it runs in one), and
-only waits for them.  The replication engine's numpy calls are too
-short to get past the GIL, so two threads measured slower than one, and
-two processes faster (see ``riskhull.bench``).
+``--threads`` never changes any output byte.  It bounds the worker
+processes of the two Monte Carlo computations: the hull build maps its
+sample blocks, and ``bench``'s efficiency sweep its amplitudes, through
+one forked map, ``hull._sweep``, where ``os.fork`` exists (elsewhere
+both run in one process).  The caller only waits for the workers; one
+that dies, as when the OS kills it for lack of memory, ends the run
+with exit 2 and a message naming ``--threads``.
 
 ``python -m riskhull`` and the ``riskhull`` script enter through
 ``riskhull.__main__.run``, which freezes the start-up heap out of the
@@ -81,6 +81,7 @@ from .sequence_model import (
     fingerprint,
     max_index,
     sigma_at,
+    sigma_values,
     signal_family,
     unit_spec,
 )
@@ -154,6 +155,13 @@ class RunConfig:
         bound = max_index(self.spec)
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
+        # every run squares sigma_k of the spectrum or of its unit shape (sigma_1 = 1)
+        with np.errstate(over="ignore"):
+            finite = np.logical_and(*[np.isfinite(sigma_values(s, self.n_max) ** 2)
+                                      for s in (self.spec, unit_spec(self.spec))])
+        if not finite.all():
+            raise ConfigError(f"problem: sigma_k^2 overflows float64 at k = {finite.argmin() + 1}, within "
+                              f"experiment.n_max = {self.n_max}; lower experiment.n_max or flatten the spectrum")
         self.reps = read("reps", pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
         if self.kind == "efficiency" and self.reps < 2:
             raise ConfigError(f"experiment.reps: an efficiency run needs >= 2 for a standard error, got {self.reps}")
@@ -256,8 +264,9 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec) -> tuple[HullTable, str, 
     try:
         table = build_hull_table(uspec, cfg.n_max, cfg.mc, threads=cfg.threads)
     except MemoryError as exc:
+        cause = f" ({exc})" if str(exc) else ""  # a dead worker says so; a refused allocation may say nothing
         raise MemoryError(
-            f"hull: out of memory building the table; the build's worst case, every row kept "
+            f"hull: out of memory building the table{cause}; the build's worst case, every row kept "
             f"whole, is the {cfg.n_max} x {cfg.mc.samples} float32 path matrix "
             f"({cfg.n_max * cfg.mc.samples * 4:,} bytes); lower experiment.n_max or hull.samples"
         ) from exc
@@ -417,16 +426,10 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(f"ratio: rho(1) = {rows[0][1]:.4g}, rho({cfg.n_max}) = {rows[-1][1]:.4g}")
 
     elif cfg.kind == "efficiency":
-        try:
-            curves = efficiency_curves(
-                cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
-                alpha=cfg.alpha, hull=table, workers=cfg.threads,
-            )
-        except MemoryError as exc:
-            if cfg.threads == 1:
-                raise
-            raise MemoryError(f"bench: {exc}; --threads {cfg.threads} ran the sweep on worker "
-                              f"processes, and a lower --threads starts fewer") from exc
+        curves = efficiency_curves(
+            cfg.spec, cfg.methods, cfg.a_grid, cfg.W, cfg.m, cfg.reps, cfg.n_max, cfg.seed,
+            alpha=cfg.alpha, hull=table, workers=cfg.threads,
+        )
         for method, curve in zip(cfg.methods, curves):
             name = f"efficiency_{method}.csv"
             write_efficiency_csv(curve, os.path.join(cfg.out_dir, name))
@@ -462,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="bound on the hull build's worker threads and the efficiency "
-                            "sweep's worker processes; never changes an output byte")
+                       help="bound on the worker processes of the hull build and the "
+                            "efficiency sweep; never changes an output byte")
         p.add_argument("--out", default=None, help="override output.directory")
         p.add_argument("--rebuild", action="store_true", help="ignore and replace any hull cache")
         if name == "select":
@@ -487,8 +490,13 @@ def main(argv=None) -> int:
     except (HullCacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, MemoryError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        hint = (f"; --threads {args.threads} runs the hull build and the efficiency sweep on "
+                f"worker processes, and a lower --threads starts fewer") if args.threads > 1 else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except HullMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,10 @@ reader, ``_path_rows``, so each eta_N sample is the same number whichever
 of them asks for it.  The table build never holds the matrix: it streams
 the blocks and keeps per N only the samples above one floor, set by one
 rule a margin below that N's crossing on block 0, with the same result
-bit for bit.  Tables are bit-identical for a given seed under any worker
-count.
+bit for bit.  Its blocks after block 0 run through ``_sweep``, a map of
+an index over forked worker processes, which the efficiency sweep of
+``riskhull.bench`` runs on too.  Tables are bit-identical for a given
+seed under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -41,6 +43,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,26 +207,96 @@ def _path_rows(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
     return out
 
 
-def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple[list, list[int]]:
+def _sweep(run, count: int, workers: int) -> list:
+    """``run(i)`` for i in ``range(count)``, in order, on up to ``workers`` forked processes.
+
+    Each process runs one contiguous chunk of the indices and sends back
+    the pickled results, or the exception a call raised, which is raised
+    here as the plain loop would raise it.  The caller only waits, so a
+    call that ends in ``os._exit`` ends a worker, not the caller.  Without
+    ``os.fork``, and for one worker or one index, it is a plain loop.  A
+    worker that dies without a result, as when the OS kills it for lack
+    of memory, raises MemoryError.  No worker outlives the call.
+    """
+    if workers < 2 or count < 2 or not hasattr(os, "fork"):
+        return [run(i) for i in range(count)]
+    chunk = -(-count // min(workers, count))
+    pipes, running = [], []  # the read end of each chunk's pipe; the workers not yet reaped
+    try:
+        for lo in range(0, count, chunk):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_chunk(run, range(lo, min(lo + chunk, count)), write)
+            finally:
+                os.close(write)
+            running.append(pid)
+        results = []
+        for pipe in pipes:
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(running[0], 0)
+            running.pop(0)
+            if status or not data:
+                raise MemoryError("a worker process died before returning its results, as when the OS "
+                                  "kills it for lack of memory")
+            outcome = pickle.loads(data)  # written by our own worker
+            if isinstance(outcome, Exception):
+                raise outcome
+            results += outcome
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if running:
+            from signal import SIGKILL  # not at the top: importing signal costs about 1 ms
+
+            for pid in running:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_chunk(run, indices: range, write: int) -> None:
+    """Worker side of ``_sweep``: ``run`` each index, pickle the outcome to ``write`` and exit.
+
+    ``os._exit`` runs no atexit handler and flushes none of the stdio
+    buffers the fork copied, which the parent flushes itself.  Exit 0 says
+    the outcome was written in full.
+    """
+    code = 1
+    try:
+        try:
+            outcome = [run(i) for i in indices]
+        except Exception as exc:
+            outcome = exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> tuple[list, list[int]]:
     """:func:`_u0_scan` of every row, from blocks drawn one at a time.
 
-    The path matrix never exists whole: ``threads`` workers each hold one
-    block of :func:`_fill_paths` at a time, and each row keeps of every
-    block only its samples above the row's floor, set on block 0 by one
-    rule.  If m of the row's n0 samples there lie past its crossing, the
-    floor is block 0's r-th largest positive sample (from 0), with
-    r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1)) and R = ``_TOP_K *
-    n0 // S``: ``2 * _MARGIN`` standard deviations of that count below
-    the crossing, and at least about ``_TOP_K`` samples kept.  Where r
-    runs past the positive samples, as when block 0 crosses at 0, the
-    floor is 0 and the row keeps every positive sample, all that the
-    scan reads.  Block b's samples go to slot b of each row, so the
-    result does not depend on ``threads``.  Returns the (t, saturated)
-    of each row and the rows with a positive floor, which dropped
-    positive samples.
+    The path matrix never exists whole: the caller draws block 0 of
+    :func:`_fill_paths`, and :func:`_sweep` maps the others, last first,
+    on up to ``workers`` processes, each holding one block at a time.
+    Each row keeps of every block only its samples above the row's floor,
+    set on block 0 by one rule.  If m of the row's n0 samples there lie
+    past its crossing, the floor is block 0's r-th largest positive
+    sample (from 0), with r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1))
+    and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN`` standard deviations of
+    that count below the crossing, and at least about ``_TOP_K`` samples
+    kept.  Where r runs past the positive samples, as when block 0
+    crosses at 0, the floor is 0 and the row keeps every positive sample,
+    all that the scan reads.  Each row's pieces are joined in block
+    order, so the result does not depend on ``workers``.  Returns the
+    (t, saturated) of each row and the rows with a positive floor, which
+    dropped positive samples.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here: the CLI's start-up skips it
-
     S, blocks = mc.samples, _n_blocks(mc)
     x = _fill_paths(spec, N_max, mc, 0)
     n0 = x.shape[1]
@@ -236,23 +309,20 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, threads: int) -> tuple
         r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
         floors.append(top[r] if r < top.size else 0)
     del row, top  # a view left bound would keep all of block 0 alive
-    cols = [[None] * blocks for _ in range(N_max)]
 
-    def keep(b: int, x: np.ndarray) -> None:
-        for r, row in enumerate(x):
-            cols[r][b] = row[row > floors[r]]
+    def kept(x: np.ndarray) -> list[np.ndarray]:
+        return [row[row > floor] for row, floor in zip(x, floors)]
 
-    keep(0, x)
+    def block(i: int) -> list[np.ndarray]:
+        """Block ``blocks - 1 - i``'s kept samples: the last first, so a short one joins _sweep's largest chunk."""
+        return kept(_fill_paths(spec, N_max, mc, blocks - 1 - i))
+
+    cols = [kept(x)]  # block by block, then row by row; a block dies once kept
     del x
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # a worker's block dies when its keep returns
-        list(pool.map(lambda b: keep(b, _fill_paths(spec, N_max, mc, b)), range(1, blocks)))
+    cols = list(zip(*cols, *_sweep(block, blocks - 1, workers)[::-1]))
     solved = []
-    for r in range(N_max):
-        # a row is joined here and let go after its scan, one at a time
-        col = np.concatenate(cols[r])
-        cols[r] = None
-        solved.append(_u0_scan(col, S))
+    while cols:  # a row's pieces are joined in block order here and let go after its scan
+        solved.append(_u0_scan(np.concatenate(cols.pop(0)), S))
     return solved, [r for r, floor in enumerate(floors) if floor > 0]
 
 
@@ -354,11 +424,12 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     floor: when the scan finds a positive root or saturates, or when the
     floor is 0.  A row that fails this (a positive floor and a root of 0)
     is read again whole through :func:`_path_rows`, in the calling
-    thread.  With ``mc.monotonize`` a running maximum removes downward
+    process.  With ``mc.monotonize`` a running maximum removes downward
     Monte Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and
-    rescaled by :func:`hull_table_for`.  Bit-identical output for
-    identical (spec, N_max, mc) regardless of ``threads``, and to
-    :func:`_u0_scan` of every whole row of the path matrix.
+    rescaled by :func:`hull_table_for`.  ``threads`` bounds the worker
+    processes of :func:`_sweep`.  Bit-identical output for identical
+    (spec, N_max, mc) regardless of ``threads``, and to :func:`_u0_scan`
+    of every whole row of the path matrix.
     """
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")

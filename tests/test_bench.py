@@ -39,6 +39,7 @@ from riskhull import (
     ure_selector,
 )
 import riskhull.bench
+import riskhull.hull
 from riskhull.bench import (
     default_a_grid,
     default_n_max,
@@ -346,18 +347,36 @@ def _die(*args):
     os._exit(1)
 
 
+def _efficiency_sweep(monkeypatch, fail):
+    if fail is not None:
+        monkeypatch.setattr(riskhull.bench, "_replicate", fail)  # a forked worker inherits it
+    efficiency_curves(INV, ("ure",), [0.0, 0.5, 5.0, 50.0, 500.0], 6.0, 6.0, 20, 10, seed=0, workers=3)
+
+
+def _hull_sweep(monkeypatch, fail):
+    # four blocks: the caller draws block 0 and three workers one each of the rest
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 2_500)
+    if fail is not None:
+        fill = riskhull.hull._fill_paths
+        monkeypatch.setattr(riskhull.hull, "_fill_paths",
+                            lambda spec, N_max, mc, block: fail() if block else fill(spec, N_max, mc, block))
+    build_hull_table(INV, 10, McParams(samples=10_000, seed=1), threads=3)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
-@pytest.mark.parametrize("replicate,raises", [
-    (None, None),
-    (_raise_non_finite, ValueError),
-    (_die, MemoryError),
-], ids=["ok", "worker-error", "worker-killed"])
-def test_engine_workers_leave_no_child_and_no_descriptor(monkeypatch, replicate, raises):
-    if replicate is not None:
-        monkeypatch.setattr(riskhull.bench, "_replicate", replicate)  # a forked worker inherits it
+@pytest.mark.parametrize("sweep,fail,raises", [
+    (_efficiency_sweep, None, None),
+    (_efficiency_sweep, _raise_non_finite, ValueError),
+    (_efficiency_sweep, _die, MemoryError),
+    (_hull_sweep, None, None),
+    (_hull_sweep, _raise_non_finite, ValueError),
+    (_hull_sweep, _die, MemoryError),
+], ids=["ok", "worker-error", "worker-killed", "hull-ok", "hull-worker-error", "hull-worker-killed"])
+def test_engine_workers_leave_no_child_and_no_descriptor(monkeypatch, sweep, fail, raises):
+    # the efficiency sweep's amplitudes and the hull build's blocks run on one forked map
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(raises) if raises else contextlib.nullcontext():
-        efficiency_curves(INV, ("ure",), [0.0, 0.5, 5.0, 50.0, 500.0], 6.0, 6.0, 20, 10, seed=0, workers=3)
+        sweep(monkeypatch, fail)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == fds

@@ -519,19 +519,58 @@ def test_engine_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, caps
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_hull_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, capsys):
+    # four blocks: the caller draws block 0, and a forked worker that draws any other dies
+    fill = riskhull.hull._fill_paths
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 5_000)
+    monkeypatch.setattr(riskhull.hull, "_fill_paths",
+                        lambda spec, N_max, mc, block: _die() if block else fill(spec, N_max, mc, block))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
+    assert riskhull.cli.main(["hull", "--config", cfg, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--threads" in err and "worker process" in err
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]  # no cache, no output directory
+
+
+# sigma_3^2 = 3**800 overflows float64; at epsilon 1e-100 and beta 150, sigma_k^2 stays finite
+# up to k = 20, but the unit shape's (sigma_11/sigma_1)^2 = 11**300 overflows
+@pytest.mark.parametrize("epsilon,beta,k", [(1.0, 400.0, 3), (1e-100, 150.0, 11)])
+@pytest.mark.parametrize("command", ["bench", "select"])
+def test_overflowing_spectrum_exits_2_naming_problem_and_n_max(tmp_path, run_cli, command, epsilon, beta, k):
+    # the config says so before any hull build or draw
+    cfg = write_config(tmp_path / "c.json", {
+        "problem": {"kind": "power-law", "epsilon": epsilon, "beta": beta},
+        "experiment": {"kind": "efficiency", "n_max": 20, "reps": 20, "a_grid": [0.5, 5.0]},
+        "selector": {"methods": ["ure", "rhm"]},
+        "hull": {"samples": 10_000, "seed": 1, "cache": "hull.json"},
+    })
+    data = [_data_file(tmp_path)] if command == "select" else []
+    res = run_cli(command, "--config", cfg, *data, cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == (f"error: problem: sigma_k^2 overflows float64 at k = {k}, within experiment.n_max = 20; "
+                          "lower experiment.n_max or flatten the spectrum\n")
+    assert sorted(os.listdir(tmp_path)) == sorted(["c.json", *map(os.path.basename, data)])
+
+
 def test_cli_import_loads_no_pool_module(cli_env):
     # the process and thread pools cost start-up time; the CLI loads neither, and
-    # the efficiency sweep forks its workers without them
+    # the efficiency sweep and the hull build (three blocks here) fork their workers
+    # without them
     code = ("import sys\n"
             "import riskhull.cli\n"
             "pools = ('multiprocessing', 'concurrent.futures')\n"
             "print(sorted(m for m in pools if m in sys.modules))\n"
             "riskhull.efficiency_curves(riskhull.SigmaSpec.power_law(1.0, 1.0), ['ure'], [0.5, 5.0, 50.0],\n"
             "                           6.0, 6.0, 20, 10, seed=1, workers=2)\n"
+            "print(sorted(m for m in pools if m in sys.modules))\n"
+            "riskhull.build_hull_table(riskhull.SigmaSpec.power_law(1.0, 1.0), 10,\n"
+            "                          riskhull.McParams(samples=150_000, seed=1), threads=2)\n"
             "print(sorted(m for m in pools if m in sys.modules))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n") == ["[]", "[]", ""]
+    assert res.stdout.split("\n") == ["[]", "[]", "[]", ""]
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path, monkeypatch, cli_env):
