@@ -4,36 +4,23 @@ and oracle-efficiency curves, with CSV/manifest output.
 Replication r of a run seeded with s draws its noise from row r of the
 Philox stream of s: the key of ``rng_for(s)`` with the counter at
 ``[0, 0, r, 0]``, numpy's ``rng_for(s).bit_generator.jumped(r)`` (see
-``riskhull.sequence_model``).  Inside an efficiency curve the seed of
-amplitude a_index is ``derive_seed(s, a_index)``.  Results are
-reproducible bit for bit and independent of scheduling.  Per-curve
-aggregation uses numpy's pairwise summation on arrays filled by
-replication index, which keeps means order-independent as well.
+``riskhull.sequence_model``).  Every selector of a run, and every
+amplitude of an efficiency curve, reads rows 0..reps-1 of s: common
+random numbers, as the noise does not depend on the amplitude.  Results
+are reproducible bit for bit and independent of scheduling.  Means and
+standard errors use numpy's pairwise summation on arrays in row order.
 
-Replications run in blocks of 64 (``_REP_BLOCK``): the block's draws fill
-the rows of one matrix, and selection, projection and loss are array
-operations over the whole block.  Every selector of a call shares those
-draws, so the URE and RHM curves of one ``efficiency_curves`` call see
-identical observations at half the sampling cost, and so do the stem
-records of one ``stem_experiments`` call.  The block bounds the engine's
-working set to a few matrices of 64 x n_max.  A block's draws are one
-``normal_rows`` call, which hashes the key once and sets the counter of
-one Philox per row.  Work that does not depend on the draws runs once
-per run: the selectors' checks against the spectrum, before the first
-draw, and theta^2.  Per block, one ``ure_energy`` matrix over the
-largest N_max serves every selector, each reading its own prefix.  At
-n_max = 200 and 1,000 reps (one core of a 2-core x86 machine) a row
-costs about 5-8 us of setting the counter and drawing, of which the
-draw itself is 4-6 us; forming y and the residuals takes about
-1.3 us, selecting with URE and RHM about 2.2 us and the two losses
-about 2.5 us.
-
-An efficiency sweep is one function of the amplitude index, mapped over
-the grid by ``hull._sweep``, the one forked map, which the hull build's
-blocks run on too: a plain loop or, with ``workers > 1``, contiguous
-chunks of the indices on worker processes forked with ``os.fork``, which
-inherit the function.  Every amplitude has its own seed, derived in the
-caller, and its plain numbers go back in amplitude order, so no output
+Replications run in blocks of 64 rows (``_REP_BLOCK``): one
+``normal_rows`` call, which hashes the key once, fills one matrix with a
+block's draws, and every signal and selector of the run reuses it.
+Selection, projection and loss are array operations over the block; per
+signal, one ``ure_energy`` matrix over the largest N_max serves every
+selector.  The block bounds the working set to a few 64 x n_max
+matrices.  The selectors are checked against the spectrum once, before
+the first draw.  The blocks are the indices of ``hull._sweep``, the one
+forked map, which the hull build runs on too: a plain loop or, with
+``workers > 1``, contiguous chunks of blocks on processes forked with
+``os.fork``.  The blocks' arrays are joined in row order, so no output
 depends on the worker count.  README "Design notes" gives the timings,
 and why no ``multiprocessing`` pool.
 
@@ -56,15 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import freeze
-# project, squared_loss and simulate are not called here; perfbench's tracer
-# looks them up on this module.
+# project, squared_loss, simulate and derive_seed are not called here;
+# perfbench's tracer looks them up on this module.
 from .estimators import oracle_risk, project, squared_loss  # noqa: F401
 from .hull import HullTable, _sweep, atomic_write_text, check_hull_spec, penalty_ratio
 from .selectors import Selector, rhm_selector, ure_energy, ure_selector
 from .sequence_model import (
     SigmaSpec,
     Signal,
-    derive_seed,
+    derive_seed,  # noqa: F401
     normal_rows,
     sigma_at,
     sigma_values,
@@ -116,53 +103,68 @@ def default_a_grid(num: int = 20, lo: float = 0.5, hi: float = 500.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _replicate(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
-               reps: int, n_max: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Selected bandwidths and squared losses of every selector over ``reps`` draws.
+def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[Selector],
+               rows: range, n_max: int, seed: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Selected bandwidths and squared losses of every signal and selector on stream rows ``rows``.
 
     Row r is ``make_observation(spec, signal, xi)`` of the noise xi that
-    row r of ``normal_rows(seed, ...)`` draws, and every selector sees the
-    same rows.  Each selector picks from one shared ``ure_energy`` matrix over the
-    largest N_max.  The loss of a row is ``squared_loss(project(obs, N),
-    signal)`` bit for bit: its terms are summed over a slice of length
-    ``max(N, len(signal))``.  Every selector is checked against ``spec``
-    and ``n_max`` before the first draw.
+    row r of ``normal_rows(seed, ...)`` draws; the rows are drawn once,
+    and every signal and selector sees them.  Each selector picks from
+    one ``ure_energy`` matrix per signal over the largest N_max.  The
+    loss of a row is ``squared_loss(project(obs, N), signal)`` bit for
+    bit: its terms are summed over a slice of length ``max(N,
+    len(signal))``.  Indexed [signal][selector].
+    """
+    sig = sigma_values(spec, n_max)
+    sig2 = sig[:max((sel.N_max for sel in selectors), default=0)] ** 2
+    noise = sig * normal_rows(seed, rows.start, n_max, np.empty((len(rows), n_max)))
+    out = []
+    for signal in signals:
+        L = len(signal)
+        width = max(n_max, L)  # a signal longer than n_max adds its tail to every loss
+        theta = signal.padded(width)
+        kept = theta[:n_max]
+        Y = kept + noise
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("observation entries must all be finite")
+        # (estimate minus truth)**2: (y - theta)**2 up to N, theta**2 past it
+        resid2 = np.zeros((len(rows), width))
+        resid2[:, :n_max] = (Y - kept) ** 2
+        energy = ure_energy(Y[:, :sig2.size], sig2)
+        runs = []
+        for sel in selectors:
+            N = sel.pick(energy)
+            sq = np.where(np.arange(width) < N[:, None], resid2, theta**2)
+            n = np.maximum(N, L)
+            losses = np.empty(len(rows))
+            for k in np.flatnonzero(np.bincount(n)):
+                hit = n == k
+                losses[hit] = sq[hit, :k].sum(axis=1)
+            runs.append((N, losses))
+        out.append(runs)
+    return out
+
+
+def _replications(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[Selector],
+                  reps: int, n_max: int, seed: int,
+                  workers: int = 1) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """:func:`_replicate` over rows 0..reps-1, block by block on up to ``workers`` processes.
+
+    ``reps`` and every selector are checked against ``spec`` and
+    ``n_max`` before the first draw; the blocks' arrays are joined in row
+    order, so the result does not depend on ``workers``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for sel in selectors:
         sel.check(spec, n_max)
-    L = len(signal)
-    width = max(n_max, L)  # a signal longer than n_max adds its tail to every loss
-    theta = signal.padded(width)
-    theta2 = theta**2  # the loss term past N, (-theta)**2
-    kept = theta[:n_max]
-    sig = sigma_values(spec, n_max)
-    sig2 = sig[:max((sel.N_max for sel in selectors), default=0)] ** 2
-    cols = np.arange(width)
-    out = [(np.empty(reps, dtype=np.int64), np.empty(reps)) for _ in selectors]
-    xi = np.empty((_REP_BLOCK, n_max))
-    resid = np.zeros((_REP_BLOCK, width))
-    for start in range(0, reps, _REP_BLOCK):
-        rows = min(_REP_BLOCK, reps - start)
-        normal_rows(seed, start, n_max, xi[:rows])
-        Y = kept + sig * xi[:rows]
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("observation entries must all be finite")
-        resid[:rows, :n_max] = Y - kept
-        resid2 = resid[:rows] ** 2
-        energy = ure_energy(Y[:, :sig2.size], sig2)
-        block = slice(start, start + rows)
-        for sel, (selected, losses) in zip(selectors, out):
-            N = sel.pick(energy)
-            selected[block] = N
-            # (estimate minus truth)**2: (y - theta)**2 up to N, theta**2 past it
-            sq = np.where(cols < N[:, None], resid2, theta2)
-            n = np.maximum(N, L)
-            for k in np.flatnonzero(np.bincount(n)):
-                hit = n == k
-                losses[block][hit] = sq[hit, :k].sum(axis=1)
-    return out
+
+    def block(b: int) -> list:
+        return _replicate(spec, signals, selectors, range(b * _REP_BLOCK, min(reps, (b + 1) * _REP_BLOCK)),
+                          n_max, seed)
+
+    blocks = _sweep(block, -(-reps // _REP_BLOCK), workers)  # [block][signal][selector]
+    return [[tuple(map(np.concatenate, zip(*runs))) for runs in zip(*per_signal)] for per_signal in zip(*blocks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +188,7 @@ class StemData:
 def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
                      reps: int, n_max: int, seed: int) -> list[StemData]:
     """Replicated selection diagnostic of each selector, all on one set of draws."""
-    runs = _replicate(spec, signal, selectors, reps, n_max, seed)
+    [runs] = _replications(spec, [signal], selectors, reps, n_max, seed)
     sigma1_sq = sigma_at(spec, 1) ** 2
     stems = []
     for selected, losses in runs:
@@ -211,7 +213,7 @@ def mc_selector_risk(spec: SigmaSpec, signal: Signal, selector: Selector,
                      reps: int, n_max: int, seed: int) -> tuple[float, float]:
     """Mean squared loss of a selector and its Monte Carlo standard error."""
     _check_se_reps(reps)
-    [(_, losses)] = _replicate(spec, signal, [selector], reps, n_max, seed)
+    [[(_, losses)]] = _replications(spec, [signal], [selector], reps, n_max, seed)
     return _mean_se(losses)
 
 
@@ -283,10 +285,11 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
                        workers: int = 1) -> list[EfficiencyCurve]:
     """Oracle efficiency of each of ``methods`` (URE, RHM) over an amplitude grid.
 
-    Every method is evaluated on the same draws: one engine run per
-    amplitude serves them all.  For ``'rhm'`` pass a hull table built for
-    ``unit_spec(spec)`` covering n_max.  The amplitudes run on up to
-    ``workers`` processes; the result is the same bit for bit.
+    Every amplitude and method reads rows 0..reps-1 of ``seed``'s stream:
+    one engine run over all the amplitudes' signals serves them all.  For
+    ``'rhm'`` pass a hull table built for ``unit_spec(spec)`` covering
+    n_max.  The replication blocks run on up to ``workers`` processes;
+    the result is the same bit for bit.
     """
     a_grid = np.asarray(a_grid, dtype=np.float64).reshape(-1)
     if a_grid.size == 0:
@@ -299,20 +302,16 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
         check_hull_spec(hull, uspec, "unit_spec(spec)")
     selectors = method_selectors(methods, n_max, alpha=alpha, hull=hull)
     _check_se_reps(reps)
-    seeds = [derive_seed(seed, ai) for ai in range(a_grid.size)]
-
-    def amplitude(ai: int) -> tuple:
-        """Oracle N and risk, then each selector's efficiency and its standard error."""
-        sig = signal_family(float(a_grid[ai]), W, m, 1.0, n_max)
-        curve = oracle_risk(sig, uspec, n_max)
-        best = curve.min_value
-        stats = [_mean_se(losses) for _, losses in _replicate(uspec, sig, selectors, reps, n_max, seeds[ai])]
-        return curve.argmin_N, best, *[x for mean, se in stats for x in (best / mean, best * se / mean**2)]
-
-    oracle_N, best, *columns = zip(*_sweep(amplitude, a_grid.size, workers))
-    return [EfficiencyCurve(a_grid=a_grid, efficiency=eff, std_error=se, oracle_N=oracle_N,
-                            oracle_risk=best, method=method, reps=reps)
-            for method, eff, se in zip(methods, columns[0::2], columns[1::2])]
+    signals = [signal_family(float(a), W, m, 1.0, n_max) for a in a_grid]
+    oracles = [oracle_risk(sig, uspec, n_max) for sig in signals]
+    best = [curve.min_value for curve in oracles]
+    runs = _replications(uspec, signals, selectors, reps, n_max, seed, workers)  # [amplitude][selector]
+    stats = [[_mean_se(losses) for _, losses in column] for column in zip(*runs)]  # [selector][amplitude]
+    return [EfficiencyCurve(a_grid=a_grid, efficiency=[b / mean for b, (mean, _) in zip(best, column)],
+                            std_error=[b * se / mean**2 for b, (mean, se) in zip(best, column)],
+                            oracle_N=[curve.argmin_N for curve in oracles], oracle_risk=best,
+                            method=method, reps=reps)
+            for method, column in zip(methods, stats)]
 
 
 def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,
@@ -321,8 +320,9 @@ def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,
     """Oracle efficiency of URE or RHM over an amplitude grid.
 
     For ``method='rhm'`` pass a hull table built for ``unit_spec(spec)``
-    covering n_max.  All amplitudes share one seed schedule, so curves
-    for different methods at the same seed see identical observations.
+    covering n_max.  Every amplitude reads rows 0..reps-1 of ``seed``'s
+    stream, so curves for different methods at the same seed see
+    identical observations.
     """
     [curve] = efficiency_curves(spec, (method,), a_grid, W, m, reps, n_max, seed,
                                 alpha=alpha, hull=hull)

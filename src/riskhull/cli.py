@@ -14,11 +14,11 @@ field reads is a config error.  Every run writes a manifest whose
 document, it replays the run and reproduces its outputs bit for bit.
 ``--threads`` never changes any output byte.  It bounds the worker
 processes of the two Monte Carlo computations: the hull build maps its
-sample blocks, and ``bench``'s efficiency sweep its amplitudes, through
-one forked map, ``hull._sweep``, where ``os.fork`` exists (elsewhere
-both run in one process).  The caller only waits for the workers; one
-that dies, as when the OS kills it for lack of memory, ends the run
-with exit 2 and a message naming ``--threads``.
+sample blocks, and ``bench``'s efficiency sweep its replication blocks,
+through one forked map, ``hull._sweep``, where ``os.fork`` exists
+(elsewhere both run in one process).  The caller only waits for the
+workers; one that dies, as when the OS kills it for lack of memory, ends
+the run with exit 2 and a message naming ``--threads``.
 
 ``python -m riskhull`` and the ``riskhull`` script enter through
 ``riskhull.__main__.run``, which freezes the start-up heap out of the
@@ -299,7 +299,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v5",
+        "format": "riskhull-manifest-v6",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,
@@ -465,8 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="bound on the worker processes of the hull build and the "
-                            "efficiency sweep; never changes an output byte")
+                       help="bound on the worker processes that run the blocks of the hull "
+                            "build and of the efficiency sweep; never changes an output byte")
         p.add_argument("--out", default=None, help="override output.directory")
         p.add_argument("--rebuild", action="store_true", help="ignore and replace any hull cache")
         if name == "select":

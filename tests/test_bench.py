@@ -16,7 +16,6 @@ from riskhull import (
     Signal,
     ZERO_SIGNAL,
     build_hull_table,
-    derive_seed,
     efficiency_curve,
     efficiency_curves,
     fixed_selector,
@@ -166,8 +165,7 @@ def test_efficiency_curve_noise_level_invariance(unit_hull_b1):
 
 def test_efficiency_curve_zero_amplitude_matches_zero_signal_run():
     curve = efficiency_curve(INV, "ure", [0.0, 1.0], 6.0, 6.0, 500, 30, seed=17)
-    mean, _ = mc_selector_risk(unit_spec(INV), ZERO_SIGNAL, ure_selector(30), 500, 30,
-                               seed=derive_seed(17, 0))
+    mean, _ = mc_selector_risk(unit_spec(INV), ZERO_SIGNAL, ure_selector(30), 500, 30, seed=17)
     assert curve.efficiency[0] == oracle_risk(ZERO_SIGNAL, unit_spec(INV), 30).min_value / mean
 
 
@@ -329,7 +327,7 @@ def engine_sweep(unit_hull_b1):
     return kw, efficiency_curves(SigmaSpec.power_law(0.3, 1.0), ("ure", "rhm"), **kw)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 7])  # 7 = 5 amplitudes + 2
+@pytest.mark.parametrize("workers", [2, 3, 7])  # 131 reps are 3 blocks; 7 workers are more
 def test_engine_workers_do_not_change_efficiency_curves(engine_sweep, workers):
     kw, serial = engine_sweep
     spread = efficiency_curves(SigmaSpec.power_law(0.3, 1.0), ("ure", "rhm"), workers=workers, **kw)
@@ -337,6 +335,17 @@ def test_engine_workers_do_not_change_efficiency_curves(engine_sweep, workers):
         assert (curve.method, curve.reps) == (alone.method, alone.reps)
         for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
             assert np.array_equal(getattr(curve, field), getattr(alone, field)), field
+
+
+def test_engine_efficiency_columns_are_single_stream_runs(unit_hull_b1):
+    # every amplitude and method reads rows 0..reps-1 of the seed's stream
+    kw = dict(a_grid=[0.0, 0.5, 5.0, 50.0], W=6.0, m=6.0, reps=130, n_max=40, seed=8)
+    spec = SigmaSpec.power_law(0.3, 1.0)
+    curves = efficiency_curves(spec, ("ure", "rhm"), hull=unit_hull_b1, **kw)
+    for curve, sel in zip(curves, (ure_selector(40), rhm_selector(unit_hull_b1, 1.1, 40))):
+        want = [oracle_efficiency(unit_spec(spec), signal_family(a, 6.0, 6.0, 1.0, 40), sel, 130, 40, 8)
+                for a in kw["a_grid"]]
+        assert curve.efficiency.tolist() == want, curve.method
 
 
 def _raise_non_finite(*args):
@@ -348,6 +357,7 @@ def _die(*args):
 
 
 def _efficiency_sweep(monkeypatch, fail):
+    monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", 8)  # 20 reps are three blocks, one per worker
     if fail is not None:
         monkeypatch.setattr(riskhull.bench, "_replicate", fail)  # a forked worker inherits it
     efficiency_curves(INV, ("ure",), [0.0, 0.5, 5.0, 50.0, 500.0], 6.0, 6.0, 20, 10, seed=0, workers=3)
@@ -373,7 +383,7 @@ def _hull_sweep(monkeypatch, fail):
     (_hull_sweep, _die, MemoryError),
 ], ids=["ok", "worker-error", "worker-killed", "hull-ok", "hull-worker-error", "hull-worker-killed"])
 def test_engine_workers_leave_no_child_and_no_descriptor(monkeypatch, sweep, fail, raises):
-    # the efficiency sweep's amplitudes and the hull build's blocks run on one forked map
+    # the efficiency sweep's replication blocks and the hull build's blocks run on one forked map
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(raises) if raises else contextlib.nullcontext():
         sweep(monkeypatch, fail)
@@ -418,10 +428,10 @@ def test_engine_does_not_import_numpy_ma(cli_env):
 # ---------------------------------------------------------------------------
 
 # sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, under
-# riskhull-manifest-v5: the stream layout of v4 (replication r at counter
-# offset r, as the reference loop above draws it) and the oracle curve's
-# cumulative sums; any change to a random stream, the selection, the loss
-# or the oracle risk arithmetic moves them.
+# riskhull-manifest-v6: replication r at counter offset r of the run's seed,
+# as the reference loop above draws it, for every amplitude of an efficiency
+# run, and the oracle curve's cumulative sums; any change to a random stream,
+# the selection, the loss or the oracle risk arithmetic moves them.
 GOLDEN_CONFIG = {
     "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
     "experiment": {"n_max": 60, "reps": 300, "seed": 4, "a_grid": [0.5, 5.0, 50.0]},
@@ -429,8 +439,8 @@ GOLDEN_CONFIG = {
     "hull": {"samples": 20_000, "seed": 1},
 }
 GOLDEN_DIGESTS = {
-    "efficiency_ure.csv": "93c4fa1ff64a92dce264baec5bc173833f1f265b3e88f4e2a86766c84b8dd103",
-    "efficiency_rhm.csv": "e27e70ce1458b509237ae96699f86427a8eedf094a710b0677db238825380f53",
+    "efficiency_ure.csv": "ff7f80d7eb8c36e432f2ddcdc7ca74df66495beaa18f2f445e7c6916821211f5",
+    "efficiency_rhm.csv": "7819545e1f20a032b3443bd721cc2690fc82a5a22cefca50612e383e9cf0541f",
     "stem_ure.csv": "bac450fd38755d7a2b1b478fa2ef038489921d0bebe360003eacc7d8802e5286",
     "stem_rhm.csv": "88806ebaa6394742a0318267100fdd8445ca8fcd5c440e0d6e5b84b19c283146",
 }

@@ -407,7 +407,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v5"
+    assert manifest["format"] == "riskhull-manifest-v6"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}
@@ -496,7 +496,8 @@ def _die(*args):
 
 
 def test_engine_worker_error_exits_2_as_in_the_serial_run(tmp_path, monkeypatch, capsys):
-    # a forked worker inherits the patched engine
+    # a forked worker inherits the patched engine; 20 reps are three blocks of 8
+    monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", 8)
     monkeypatch.setattr(riskhull.bench, "_replicate", _raise_non_finite)
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", _EFFICIENCY_URE)
@@ -509,6 +510,7 @@ def test_engine_worker_error_exits_2_as_in_the_serial_run(tmp_path, monkeypatch,
 
 
 def test_engine_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", 8)  # 20 reps are three blocks, so workers fork
     monkeypatch.setattr(riskhull.bench, "_replicate", _die)
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", _EFFICIENCY_URE)
@@ -667,10 +669,11 @@ def test_thread_count_does_not_change_any_output_byte(tmp_path, run_cli):
     assert a["U0"] == b["U0"]
 
     # bench stem and efficiency commands, full byte comparison of every output;
-    # efficiency amplitudes run on worker processes past --threads 1
+    # past --threads 1 the efficiency run's replication blocks (three at 130 reps)
+    # run on worker processes
     stem_cfg = write_config(tmp_path / "c.json", _stem_cfg(reps=100))
     eff_cfg = write_config(tmp_path / "e.json", dict(
-        _EFFICIENCY_URE, experiment=dict(_EFFICIENCY_URE["experiment"], reps=61),
+        _EFFICIENCY_URE, experiment=dict(_EFFICIENCY_URE["experiment"], reps=130),
         selector={"methods": ["ure", "rhm"]}, hull={"samples": 10000, "seed": 1, "cache": "he.json"}))
     for kind, cfg, names, threads in (("stem", stem_cfg, ["stem_ure.csv"], ("1", "4")),
                                       ("eff", eff_cfg, ["efficiency_ure.csv", "efficiency_rhm.csv"], ("1", "3"))):

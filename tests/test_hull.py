@@ -163,6 +163,61 @@ def test_u0_at_bandwidth_one_is_zero():
         assert compute_u0(spec, 1, MC_SMALL) == 0.0
 
 
+def exact_tail_functional(spec: SigmaSpec, N: int, t: float) -> float:
+    """G_N(t) = E[eta_N 1(eta_N >= t)] in sigma_1^2 units, by inversion along the saddlepoint contour.
+
+    With w_j = (sigma_j/sigma_1)^2, x = t + sum(w), K(s) = -1/2 sum log(1 - 2 s w_j)
+    and H(s) = sum 2 w_j^2 / (1 - 2 s w_j), G = (1/pi) int_0^inf Re[exp(K(s) - s x) H(s)] dv
+    on s = c + iv for any real c < 1/(2 max w): (K'(s) - sum(w)) / s = H(s) has no pole.
+    c is the saddlepoint, K'(c) = x, and v = sd sinh(tau) with sd = K''(c)^(-1/2), so the
+    integrand decays double-exponentially in tau; a trapezoid on 28,001 points of [0, 14]
+    (Rice 1980, integration along a steepest-descent path).
+    """
+    from scipy.optimize import brentq
+
+    w = sigma_values(unit_spec(spec), N) ** 2
+    x = t + w.sum()
+    c = brentq(lambda s: np.sum(w / (1 - 2 * s * w)) - x, 0.0, (1 - w.max() / x) / (2 * w.max()))
+    sd = np.sum(2 * w**2 / (1 - 2 * c * w) ** 2) ** -0.5
+    tau = np.linspace(0.0, 14.0, 28_001)
+    s = c + 1j * sd * np.sinh(tau)
+    d = 1 - 2 * s[:, None] * w
+    Kc = -0.5 * np.log1p(-2 * c * w).sum()
+    f = (np.exp(-0.5 * np.log(d).sum(axis=1) - Kc - (s - c) * x) * (2 * w**2 / d).sum(axis=1)).real
+    f *= sd * np.cosh(tau)
+    # the trapezoid by hand: numpy 2 renamed np.trapz, and numpy 1.24 lacks np.trapezoid
+    return float(np.exp(Kc - c * x) * (tau[1] - tau[0]) * (f.sum() - (f[0] + f[-1]) / 2) / np.pi)
+
+
+def exact_u0(spec: SigmaSpec, N: int) -> float:
+    """The exact U0(N) in sigma_1^2 units, the root of G_N(t) = 1, where that root exceeds 1."""
+    from scipy.optimize import brentq
+
+    hi = 2.0
+    while exact_tail_functional(spec, N, hi) > 1.0:
+        hi *= 2.0
+    return brentq(lambda t: exact_tail_functional(spec, N, t) - 1.0, hi / 2, hi, xtol=1e-12 * hi)
+
+
+@pytest.mark.parametrize("N", [5, 25, 100])
+def test_exact_tail_functional_matches_chi_square_closed_form(N):
+    # beta = 0: eta_N + N is chi-square with N degrees of freedom, and
+    # E[chi2_N 1(chi2_N >= x)] = N P(chi2_{N+2} >= x)
+    from scipy.stats import chi2
+
+    for t in (0.5, 3.0, 10.0, 40.0):
+        x = t + N
+        want = N * (chi2.sf(x, N + 2) - chi2.sf(x, N))
+        assert exact_tail_functional(B0, N, t) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def test_exact_u0_roots():
+    # beta = 0 roots of the closed form, and one beta = 1 root
+    for N, want in ((5, 2.269917291), (25, 11.56881666), (100, 28.64839368)):
+        assert exact_u0(B0, N) == pytest.approx(want, rel=1e-9)
+    assert exact_u0(B1, 10) == pytest.approx(1231.39, rel=5e-6)
+
+
 def test_u0_epsilon_commutes_exactly():
     # One final multiplication by sigma_1^2 carries the whole noise scale.
     for eps in (0.3, 1.7, 9.25):

@@ -155,8 +155,8 @@ def test_derive_seed_distinct_streams():
 
 
 # The replication streams against numpy's Philox.jumped: seeds of one to
-# five 32-bit words, and one derive_seed output (the efficiency sweep's
-# amplitude seeds are 64-bit).
+# five 32-bit words, and one derive_seed output (derived seeds, such as
+# criterion 12's, are 64-bit).
 STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 12345678901234567, 2**128 + 3,
                 derive_seed(2024, 3)]
 
