@@ -343,7 +343,7 @@ def cmd_hull(cfg: RunConfig) -> int:
 def _read_data_csv(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]  # a blank line reads as []
     except OSError as exc:
         raise ConfigError(f"data file {path}: {exc}") from exc
     if len(rows) < 2:

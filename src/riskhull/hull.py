@@ -20,12 +20,11 @@ kernel, ``_fill_paths``, in fixed-size blocks with per-block Philox
 streams.  The samplers and ``compute_u0`` read rows of it through one row
 reader, ``_path_rows``, so each eta_N sample is the same number whichever
 of them asks for it.  The table build never holds the matrix: it streams
-the blocks and keeps per N only the samples above one floor, set by one
-rule a margin below that N's crossing on block 0, with the same result
-bit for bit.  Its blocks after block 0 run through ``_sweep``, a map of
-an index over forked worker processes, which the efficiency sweep of
-``riskhull.bench`` runs on too.  Tables are bit-identical for a given
-seed under any worker count.
+the blocks and solves each N on a kept part of its samples, with the
+same result bit for bit (see ``_scan_rows``).  Its blocks after block 0
+run through ``_sweep``, a map of an index over forked worker processes,
+which the efficiency sweep of ``riskhull.bench`` runs on too.  Tables
+are bit-identical for a given seed under any worker count.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -278,24 +277,28 @@ def _run_chunk(run, indices: range, write: int) -> None:
         os._exit(code)
 
 
-def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> tuple[list, list[int]]:
-    """:func:`_u0_scan` of every row, from blocks drawn one at a time.
+def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[tuple[float, bool]]:
+    """:func:`_u0_scan` of every whole row, from blocks drawn one at a time.
 
     The path matrix never exists whole: the caller draws block 0 of
     :func:`_fill_paths`, and :func:`_sweep` maps the others, last first,
     on up to ``workers`` processes, each holding one block at a time.
     Each row keeps of every block only its samples above the row's floor,
     set on block 0 by one rule.  If m of the row's n0 samples there lie
-    past its crossing, the floor is block 0's r-th largest positive
-    sample (from 0), with r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1))
-    and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN`` standard deviations of
-    that count below the crossing, and at least about ``_TOP_K`` samples
-    kept.  Where r runs past the positive samples, as when block 0
-    crosses at 0, the floor is 0 and the row keeps every positive sample,
-    all that the scan reads.  Each row's pieces are joined in block
-    order, so the result does not depend on ``workers``.  Returns the
-    (t, saturated) of each row and the rows with a positive floor, which
-    dropped positive samples.
+    past its crossing (:func:`_past_crossing`), the floor is block 0's
+    r-th largest positive sample (from 0), with r = max(R, m + 1 + 2 *
+    _MARGIN * isqrt(m + 1)) and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN``
+    standard deviations of that count below the crossing, and at least
+    about ``_TOP_K`` samples kept.  Where r runs past the positive
+    samples, as when block 0 crosses at 0, the floor is 0 and the row
+    keeps every positive sample, all that the scan reads.  Each row's
+    pieces are joined in block order, so the result does not depend on
+    ``workers``.  The kept samples are the top of the sorted row and the
+    scan's sums add from the largest down, so they round as on the whole
+    row, and the root is the same whenever it lies above the floor: a
+    positive root, a saturated one, or any root with floor 0.  A row
+    that fails this, a positive floor and a root of 0, is read again
+    whole through :func:`_path_rows` in the calling process (the redo).
     """
     S, blocks = mc.samples, _n_blocks(mc)
     x = _fill_paths(spec, N_max, mc, 0)
@@ -304,8 +307,7 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> tuple
     floors = []
     for row in x:
         top = np.sort(row[row > 0])[::-1]
-        # how many of the top samples lie past the crossing on block 0
-        m = int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n0, 1.0, side="right"))
+        m = _past_crossing(top, n0)
         r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
         floors.append(top[r] if r < top.size else 0)
     del row, top  # a view left bound would keep all of block 0 alive
@@ -323,7 +325,11 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> tuple
     solved = []
     while cols:  # a row's pieces are joined in block order here and let go after its scan
         solved.append(_u0_scan(np.concatenate(cols.pop(0)), S))
-    return solved, [r for r, floor in enumerate(floors) if floor > 0]
+    redo = [r for r, floor in enumerate(floors) if floor > 0 and solved[r] == (0.0, False)]
+    if redo:
+        for row, r in zip(_path_rows(spec, [r + 1 for r in redo], mc), redo):
+            solved[r] = _u0_scan(row, S)
+    return solved
 
 
 def eta_paths_from_noise(spec: SigmaSpec, xi: np.ndarray) -> np.ndarray:
@@ -380,24 +386,26 @@ def tail_functional(samples, t: float) -> float:
     return float(np.sum(arr[arr >= t]) / arr.size)
 
 
+def _past_crossing(top: np.ndarray, n_samples: int) -> int:
+    """The one crossing search: how many of the descending positive samples ``top``
+    have a running sum over ``n_samples``, in float64 from the largest down, <= 1."""
+    return int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n_samples, 1.0, side="right"))
+
+
 def _u0_scan(col: np.ndarray, n_samples: int) -> tuple[float, bool]:
     """Solve the empirical hull equation at threshold 1 (normalized units).
 
-    ``col`` holds normalized eta samples.  Returns (t, saturated): the
-    smallest t > 0 where the suffix mean drops to <= 1, or 0 when the
-    positive-part mean is already <= 1; saturated means no crossing
-    exists within the sample and the largest order statistic is returned.
+    ``col`` holds normalized eta samples, all or the top of ``n_samples``.
+    Returns (t, saturated): the smallest t > 0 where the suffix mean drops
+    to <= 1, or 0 when the positive-part mean is already <= 1; saturated
+    means no crossing exists within the sample and the largest order
+    statistic is returned.
     """
-    pos = np.sort(col[col > 0].astype(np.float64))
-    if pos.size == 0:
+    top = np.sort(col[col > 0])[::-1]
+    m = _past_crossing(top, n_samples)
+    if m == top.size:
         return 0.0, False
-    tail = np.cumsum(pos[::-1])[::-1] / n_samples
-    idx = int(np.searchsorted(-tail, -1.0, side="left"))
-    if idx == 0:
-        return 0.0, False
-    if idx >= pos.size:
-        return float(pos[-1]), True
-    return float(pos[idx - 1]), False
+    return float(top[m]), m == 0
 
 
 def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
@@ -414,32 +422,19 @@ def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
 def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1) -> HullTable:
     """Build the full U0 table without holding the path matrix.
 
-    Every N shares the same xi draws through cumulative sums.  Each row is
-    solved by :func:`_u0_scan` on what :func:`_scan_rows` kept of it: all
-    its samples above its floor, which one rule sets a margin below the
-    row's crossing on block 0.  ``np.cumsum`` adds from the largest
-    sample down, and that kept set is the top of the row's sorted
-    samples, so every suffix sum has the same rounding as on the whole
-    row, and the root is the same number whenever it lies above the
-    floor: when the scan finds a positive root or saturates, or when the
-    floor is 0.  A row that fails this (a positive floor and a root of 0)
-    is read again whole through :func:`_path_rows`, in the calling
-    process.  With ``mc.monotonize`` a running maximum removes downward
-    Monte Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and
+    Every N shares the same xi draws through cumulative sums, and
+    :func:`_scan_rows` solves each row as :func:`_u0_scan` of the whole
+    row.  With ``mc.monotonize`` a running maximum removes downward Monte
+    Carlo wiggle.  The table is solved for ``unit_spec(spec)`` and
     rescaled by :func:`hull_table_for`.  ``threads`` bounds the worker
     processes of :func:`_sweep`.  Bit-identical output for identical
-    (spec, N_max, mc) regardless of ``threads``, and to :func:`_u0_scan`
-    of every whole row of the path matrix.
+    (spec, N_max, mc) regardless of ``threads``.
     """
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1, got {N_max}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    solved, floored = _scan_rows(spec, N_max, mc, threads)
-    redo = [r for r in floored if solved[r] == (0.0, False)]
-    if redo:
-        for row, r in zip(_path_rows(spec, [r + 1 for r in redo], mc), redo):
-            solved[r] = _u0_scan(row, mc.samples)
+    solved = _scan_rows(spec, N_max, mc, threads)
     u0_norm = np.array([t for t, _ in solved], dtype=np.float64)
     saturated = [N for N, (_, sat) in enumerate(solved, 1) if sat]
     if mc.monotonize:

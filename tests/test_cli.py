@@ -373,16 +373,49 @@ def test_select_rhm_without_hull_exits_4(tmp_path, run_cli):
     assert "hull" in res.stderr
 
 
-def test_select_malformed_data_exits_2(tmp_path, run_cli):
+_EXPLICIT_2 = {"problem": {"kind": "explicit", "values": [1.0, 1.0]}, "experiment": {"n_max": 2}}
+
+
+@pytest.mark.parametrize("text, problem, message", [
+    ("k,y\n1,10.0\n3,3.0\n", {}, "row 2: indices must be contiguous"),  # gap in k
+    ("k,y\n", {}, "need a header row plus at least one (k, y) row"),
+    ("k,y\n1,10.0,2.0\n", {}, "row 1: expected two columns (k, y), got 3"),
+    ("k,y\n1,10.0\n2,abc\n", {}, "row 2: could not convert string to float"),
+    ("k,y\n1,inf\n", {}, "row 1: y must be finite"),
+    ("k,y\n1,10.0\n2,nan\n", {}, "row 2: y must be finite"),
+    ("k,y\n1,10.0\n2,3.0\n3,0.1\n", _EXPLICIT_2, "has 3 rows but the explicit sigma table stops at 2"),
+], ids=["gap", "header_only", "three_columns", "non_numeric", "inf", "nan", "past_sigma_table"])
+def test_select_malformed_data_exits_2(tmp_path, run_cli, text, problem, message):
+    cfg = write_config(tmp_path / "c.json", {
+        "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
+        "selector": {"methods": ["ure"]},
+        **problem,
+    })
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    res = run_cli("select", "--config", cfg, str(bad), cwd=tmp_path)
+    assert res.returncode == 2
+    assert message in res.stderr
+
+
+def test_select_skips_blank_lines(tmp_path, run_cli):
+    # csv.reader reads a blank line as an empty row; LF or CRLF, trailing
+    # blank lines change neither the selection nor a byte of its outputs
     cfg = write_config(tmp_path / "c.json", {
         "problem": {"kind": "power-law", "epsilon": 1.0, "beta": 0.0},
         "selector": {"methods": ["ure"]},
     })
-    bad = tmp_path / "bad.csv"
-    bad.write_text("k,y\n1,10.0\n3,3.0\n")  # gap in k
-    res = run_cli("select", "--config", cfg, str(bad), cwd=tmp_path)
-    assert res.returncode == 2
-    assert "contiguous" in res.stderr
+    plain = "k,y\n1,3.0\n2,1.0\n3,0.5\n"
+    variants = [plain, plain + "\n", plain + "\n\n", (plain + "\n\n").replace("\n", "\r\n")]
+    outputs = []
+    for i, text in enumerate(variants):
+        (tmp_path / f"d{i}.csv").write_bytes(text.encode())
+        res = run_cli("select", "--config", cfg, "--out", f"o{i}", f"d{i}.csv", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        outputs.append((res.stdout, *((tmp_path / f"o{i}" / name).read_bytes()
+                                      for name in ("selection.csv", "estimate_ure.csv"))))
+    assert outputs[0][0] == "ure: N = 1\n"
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,58 @@ def test_exact_u0_roots():
     for N, want in ((5, 2.269917291), (25, 11.56881666), (100, 28.64839368)):
         assert exact_u0(B0, N) == pytest.approx(want, rel=1e-9)
     assert exact_u0(B1, 10) == pytest.approx(1231.39, rel=5e-6)
+
+
+@pytest.mark.slow
+def test_mc_u0_within_batch_means_error_of_exact_roots():
+    # Raw tables at hull seed 1 on 16 full Philox blocks, against the roots
+    # pinned by test_exact_u0_roots.  The standard error is batch means over
+    # the blocks: the spread of the 16 one-block roots over sqrt(16).
+    mc = McParams(samples=16 * 65_536, seed=1, monotonize=False)
+    assert riskhull.hull._SAMPLE_BLOCK == 65_536
+    for spec, roots in ((B0, {5: 2.269917291, 25: 11.56881666, 100: 28.64839368}), (B1, {10: 1231.39})):
+        Ns = sorted(roots)
+        table = build_hull_table(spec, Ns[-1], mc)
+        for N, row in zip(Ns, riskhull.hull._path_rows(spec, Ns, mc)):
+            u0 = table.U0[N - 1]
+            blocks = [riskhull.hull._u0_scan(b, b.size)[0] for b in row.reshape(16, -1)]
+            z = (u0 - roots[N]) / (np.std(blocks, ddof=1) / 4)
+            tail = int(np.sum(row >= u0))
+            print(f"beta={spec.beta} N={N}: U0 {u0:.6g}, exact {roots[N]:.10g}, z = {z:+.2f}, tail {tail}")
+            assert tail >= 50 and abs(z) <= 4, (spec.beta, N, z, tail)
+
+
+def _u0_brute(col, n_samples):
+    """inf{t > 0 : G(t) <= 1} with G(t) = (sum of the samples >= t) / n_samples,
+    evaluated exactly just above 0 and every positive sample; saturated when
+    G > 1 even at the largest sample."""
+    xs = [Fraction(float(x)) for x in col]
+
+    def G(t, above):
+        return sum(x for x in xs if x > t or (x == t and not above)) / n_samples
+
+    root = next(t for t in sorted({Fraction(0)} | {x for x in xs if x > 0}) if G(t, above=True) <= 1)
+    return float(root), root > 0 and G(max(xs), above=False) > 1
+
+
+@pytest.mark.parametrize("col, n_samples, want", [
+    ([4.0, 2.0, 2.0, 2.0, 1.0, -3.0, 0.0], 7, (2.0, False)),  # a tie at the crossing
+    ([3.0, 2.0, 2.0, 1.0], 5, (2.0, False)),  # the tail mean reaches 1 inside the tie
+    ([3.0, 2.0, -1.0, -4.0, 0.0], 5, (0.0, False)),  # positive part mean exactly 1
+    ([-1.0, 0.0, -2.5], 3, (0.0, False)),  # no positive sample
+    ([0.5, 0.25, -1.0], 3, (0.0, False)),  # a root of 0
+    ([8.0, 1.0, -2.0, 0.5], 4, (8.0, True)),  # saturated: the largest sample
+    ([6.0, 5.0, 3.0], 10, (5.0, False)),  # the kept top of 10 samples
+    ([24.0, 6.0, 5.0], 10, (24.0, True)),  # saturated on the kept top of 10 samples
+])
+def test_u0_scan_matches_brute_force(col, n_samples, want):
+    # dyadic values, so every running sum is exact in float32 and float64.  No
+    # column ties at its largest sample: there _u0_scan flags saturation only
+    # when that one sample alone exceeds n_samples.
+    for dtype in (np.float64, np.float32):
+        got = riskhull.hull._u0_scan(np.array(col, dtype=dtype), n_samples)
+        assert got == _u0_brute(col, n_samples) == want
+        assert type(got[0]) is float and type(got[1]) is bool
 
 
 def test_u0_epsilon_commutes_exactly():
