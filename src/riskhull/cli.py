@@ -61,6 +61,7 @@ from .bench import (
     write_stem_csv,
 )
 from .checks import boolean, checked, list_of, nonneg_int, obj, pos_int, positive, real, text
+from .estimators import project
 from .hull import (
     DEFAULT_SAMPLES,
     HullCacheError,
@@ -380,7 +381,7 @@ def cmd_select(cfg: RunConfig, data_path: str) -> int:
                for m in cfg.methods}
     for method, res in results.items():
         est_name = f"estimate_{method}.csv"
-        est = np.where(np.arange(obs.n_max) < res.N_selected, obs.ys, 0.0)
+        est = project(obs, res.N_selected).padded(obs.n_max)
         atomic_write_text(os.path.join(cfg.out_dir, est_name),
                           csv_text("k,value", zip(range(1, obs.n_max + 1), est)))
         outputs.append(est_name)

@@ -114,9 +114,9 @@ class HullTable:
 
     ``SigmaFourth[N-1]`` is the running fourth-moment sum of the spectrum,
     sum_{s<=N} sigma_s^4.  ``saturated`` lists the bandwidths where the
-    empirical tail expectation stayed above sigma_1^2 even at the largest
-    sample, in which case U0 falls back to that largest order statistic
-    (a loud sign that ``mc_samples`` was too small for this spectrum).
+    empirical tail expectation stays above sigma_1^2 even at the largest
+    sample, and U0 falls back to that largest order statistic (a loud
+    sign that ``mc_samples`` was too small for this spectrum).
     """
 
     N_max: int
@@ -285,7 +285,7 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[
     on up to ``workers`` processes, each holding one block at a time.
     Each row keeps of every block only its samples above the row's floor,
     set on block 0 by one rule.  If m of the row's n0 samples there lie
-    past its crossing (:func:`_past_crossing`), the floor is block 0's
+    past its crossing (:func:`_crossing`), the floor is block 0's
     r-th largest positive sample (from 0), with r = max(R, m + 1 + 2 *
     _MARGIN * isqrt(m + 1)) and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN``
     standard deviations of that count below the crossing, and at least
@@ -306,8 +306,7 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[
     rank = _TOP_K * n0 // S
     floors = []
     for row in x:
-        top = np.sort(row[row > 0])[::-1]
-        m = _past_crossing(top, n0)
+        top, m = _crossing(row, n0)
         r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
         floors.append(top[r] if r < top.size else 0)
     del row, top  # a view left bound would keep all of block 0 alive
@@ -386,10 +385,11 @@ def tail_functional(samples, t: float) -> float:
     return float(np.sum(arr[arr >= t]) / arr.size)
 
 
-def _past_crossing(top: np.ndarray, n_samples: int) -> int:
-    """The one crossing search: how many of the descending positive samples ``top``
-    have a running sum over ``n_samples``, in float64 from the largest down, <= 1."""
-    return int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n_samples, 1.0, side="right"))
+def _crossing(col: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
+    """The one sort and crossing search of a row: its positive samples ``top``, descending, and how
+    many of them have a running sum over ``n_samples``, in float64 from the largest down, <= 1."""
+    top = np.sort(col[col > 0])[::-1]
+    return top, int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n_samples, 1.0, side="right"))
 
 
 def _u0_scan(col: np.ndarray, n_samples: int) -> tuple[float, bool]:
@@ -397,15 +397,13 @@ def _u0_scan(col: np.ndarray, n_samples: int) -> tuple[float, bool]:
 
     ``col`` holds normalized eta samples, all or the top of ``n_samples``.
     Returns (t, saturated): the smallest t > 0 where the suffix mean drops
-    to <= 1, or 0 when the positive-part mean is already <= 1; saturated
-    means no crossing exists within the sample and the largest order
-    statistic is returned.
+    to <= 1, or 0 when the positive-part mean is already <= 1.  Saturated
+    means the empirical tail expectation stays above sigma_1^2 (1 here)
+    even at the largest sample, and U0 falls back to that largest order
+    statistic.
     """
-    top = np.sort(col[col > 0])[::-1]
-    m = _past_crossing(top, n_samples)
-    if m == top.size:
-        return 0.0, False
-    return float(top[m]), m == 0
+    top, m = _crossing(col, n_samples)
+    return (0.0, False) if m == top.size else (float(top[m]), bool(top[m] == top[0]))
 
 
 def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:

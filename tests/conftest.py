@@ -4,14 +4,43 @@ import os
 from pathlib import Path
 
 import hypothesis
+import numpy as np
 import pytest
 
 import riskhull
+from riskhull import SigmaSpec, sigma_values, unit_spec
 
 hypothesis.settings.register_profile(
     "riskhull", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("riskhull")
+
+
+def exact_tail_functional(spec: SigmaSpec, N: int, t: float) -> float:
+    """G_N(t) = E[eta_N 1(eta_N >= t)] in sigma_1^2 units, by inversion along the saddlepoint contour.
+
+    With w_j = (sigma_j/sigma_1)^2, x = t + sum(w), K(s) = -1/2 sum log(1 - 2 s w_j)
+    and H(s) = sum 2 w_j^2 / (1 - 2 s w_j), G = (1/pi) int_0^inf Re[exp(K(s) - s x) H(s)] dv
+    on s = c + iv for any real c < 1/(2 max w): (K'(s) - sum(w)) / s = H(s) has no pole.
+    c is the saddlepoint, K'(c) = x, and v = sd sinh(tau) with sd = K''(c)^(-1/2), so the
+    integrand decays double-exponentially in tau; a trapezoid on 28,001 points of [0, 14]
+    (Rice 1980, integration along a steepest-descent path).  The hull tests and
+    acceptance criterion 4 import it from here.
+    """
+    from scipy.optimize import brentq
+
+    w = sigma_values(unit_spec(spec), N) ** 2
+    x = t + w.sum()
+    c = brentq(lambda s: np.sum(w / (1 - 2 * s * w)) - x, 0.0, (1 - w.max() / x) / (2 * w.max()))
+    sd = np.sum(2 * w**2 / (1 - 2 * c * w) ** 2) ** -0.5
+    tau = np.linspace(0.0, 14.0, 28_001)
+    s = c + 1j * sd * np.sinh(tau)
+    d = 1 - 2 * s[:, None] * w
+    Kc = -0.5 * np.log1p(-2 * c * w).sum()
+    f = (np.exp(-0.5 * np.log(d).sum(axis=1) - Kc - (s - c) * x) * (2 * w**2 / d).sum(axis=1)).real
+    f *= sd * np.cosh(tau)
+    # the trapezoid by hand: numpy 2 renamed np.trapz, and numpy 1.24 lacks np.trapezoid
+    return float(np.exp(Kc - c * x) * (tau[1] - tau[0]) * (f.sum() - (f[0] + f[-1]) / 2) / np.pi)
 
 
 @pytest.fixture(scope="session")

@@ -36,6 +36,7 @@ from riskhull import (
     unit_spec,
 )
 import riskhull.hull
+from conftest import exact_tail_functional
 from riskhull.hull import atomic_write_text, hull_table_for
 
 B0 = SigmaSpec.power_law(1.0, 0.0)
@@ -164,32 +165,6 @@ def test_u0_at_bandwidth_one_is_zero():
         assert compute_u0(spec, 1, MC_SMALL) == 0.0
 
 
-def exact_tail_functional(spec: SigmaSpec, N: int, t: float) -> float:
-    """G_N(t) = E[eta_N 1(eta_N >= t)] in sigma_1^2 units, by inversion along the saddlepoint contour.
-
-    With w_j = (sigma_j/sigma_1)^2, x = t + sum(w), K(s) = -1/2 sum log(1 - 2 s w_j)
-    and H(s) = sum 2 w_j^2 / (1 - 2 s w_j), G = (1/pi) int_0^inf Re[exp(K(s) - s x) H(s)] dv
-    on s = c + iv for any real c < 1/(2 max w): (K'(s) - sum(w)) / s = H(s) has no pole.
-    c is the saddlepoint, K'(c) = x, and v = sd sinh(tau) with sd = K''(c)^(-1/2), so the
-    integrand decays double-exponentially in tau; a trapezoid on 28,001 points of [0, 14]
-    (Rice 1980, integration along a steepest-descent path).
-    """
-    from scipy.optimize import brentq
-
-    w = sigma_values(unit_spec(spec), N) ** 2
-    x = t + w.sum()
-    c = brentq(lambda s: np.sum(w / (1 - 2 * s * w)) - x, 0.0, (1 - w.max() / x) / (2 * w.max()))
-    sd = np.sum(2 * w**2 / (1 - 2 * c * w) ** 2) ** -0.5
-    tau = np.linspace(0.0, 14.0, 28_001)
-    s = c + 1j * sd * np.sinh(tau)
-    d = 1 - 2 * s[:, None] * w
-    Kc = -0.5 * np.log1p(-2 * c * w).sum()
-    f = (np.exp(-0.5 * np.log(d).sum(axis=1) - Kc - (s - c) * x) * (2 * w**2 / d).sum(axis=1)).real
-    f *= sd * np.cosh(tau)
-    # the trapezoid by hand: numpy 2 renamed np.trapz, and numpy 1.24 lacks np.trapezoid
-    return float(np.exp(Kc - c * x) * (tau[1] - tau[0]) * (f.sum() - (f[0] + f[-1]) / 2) / np.pi)
-
-
 def exact_u0(spec: SigmaSpec, N: int) -> float:
     """The exact U0(N) in sigma_1^2 units, the root of G_N(t) = 1, where that root exceeds 1."""
     from scipy.optimize import brentq
@@ -260,11 +235,13 @@ def _u0_brute(col, n_samples):
     ([8.0, 1.0, -2.0, 0.5], 4, (8.0, True)),  # saturated: the largest sample
     ([6.0, 5.0, 3.0], 10, (5.0, False)),  # the kept top of 10 samples
     ([24.0, 6.0, 5.0], 10, (24.0, True)),  # saturated on the kept top of 10 samples
+    ([5.0, 5.0], 8, (5.0, True)),  # saturated on a tie at the largest sample
+    ([5.0, 5.0, 3.0], 9, (5.0, True)),  # the same, with a sample below the tie
 ])
 def test_u0_scan_matches_brute_force(col, n_samples, want):
-    # dyadic values, so every running sum is exact in float32 and float64.  No
-    # column ties at its largest sample: there _u0_scan flags saturation only
-    # when that one sample alone exceeds n_samples.
+    # dyadic values, so every running sum is exact in float32 and float64.  A tie
+    # at the largest sample is saturated whenever the tied samples together
+    # exceed n_samples, even if one of them alone does not.
     for dtype in (np.float64, np.float32):
         got = riskhull.hull._u0_scan(np.array(col, dtype=dtype), n_samples)
         assert got == _u0_brute(col, n_samples) == want
