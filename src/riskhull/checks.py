@@ -1,7 +1,8 @@
 """Type checks of the values the program reads from outside: the config,
 the hull cache and the noise spectrum.  Each returns the value as its
 Python type or raises ValueError; strings and booleans are never converted.
-``freeze`` makes a record's array field a read-only copy.
+``positive`` and ``nonneg`` are the finite reals > 0 and >= 0.  ``freeze``
+makes a record's array field a read-only copy.
 """
 
 import math
@@ -55,6 +56,13 @@ def positive(v) -> float:
     x = real(v)
     if not math.isfinite(x) or x <= 0:
         raise ValueError(f"must be a positive finite real, got {v}")
+    return x
+
+
+def nonneg(v) -> float:
+    x = real(v)
+    if not math.isfinite(x) or x < 0:
+        raise ValueError(f"must be a finite real >= 0, got {x}")
     return x
 
 

@@ -60,7 +60,7 @@ from .bench import (
     write_ratio_csv,
     write_stem_csv,
 )
-from .checks import boolean, checked, list_of, nonneg_int, obj, pos_int, positive, real, text
+from .checks import boolean, checked, list_of, nonneg, nonneg_int, obj, pos_int, positive, real, text
 from .estimators import project
 from .hull import (
     DEFAULT_SAMPLES,
@@ -169,18 +169,14 @@ class RunConfig:
         self.seed = read("seed", nonneg_int, default=0, override=overrides.get("seed"))
         self.W = read("W", positive, default=6.0)
         self.m = read("m", positive, default=6.0)
-        self.amplitude = read("a", real, default=0.0)
-        if self.amplitude < 0 or not math.isfinite(self.amplitude):
-            raise ConfigError(f"experiment.a: must be a finite real >= 0, got {self.amplitude}")
-        self.a_grid = read("a_grid", list_of(real), default=[float(a) for a in default_a_grid()])
-        if not self.a_grid or any(a < 0 or not math.isfinite(a) for a in self.a_grid):
+        self.amplitude = read("a", nonneg, default=0.0)
+        self.a_grid = read("a_grid", list_of(nonneg), default=[float(a) for a in default_a_grid()])
+        if not self.a_grid:
             raise ConfigError("experiment.a_grid: must be a nonempty list of finite reals >= 0")
 
         read = self._reader(doc, "selector")
         self.methods = read("methods", _methods, default=("ure",))
-        self.alpha = read("alpha", real, default=DEFAULT_ALPHA)
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ConfigError(f"selector.alpha: must be a finite real >= 0, got {self.alpha}")
+        self.alpha = read("alpha", nonneg, default=DEFAULT_ALPHA)
         if "n_max" in (doc.get("selector") or {}):
             raise ConfigError("selector.n_max: no longer a config key; experiment.n_max bounds "
                               "the bandwidth search")

@@ -70,8 +70,6 @@ def _risk_values(signal: Signal, spec: SigmaSpec, N_max: int) -> np.ndarray:
     smallest (last) terms first, and the variances one cumulative sum of
     sigma^2; entry N-1 is the same for every N_max >= N.
     """
-    if N_max < 1:
-        raise ValueError(f"bandwidth N must be >= 1, got {N_max}")
     theta2 = signal.padded(max(N_max, len(signal))) ** 2
     tail = np.cumsum(theta2[::-1])[::-1]  # tail[N] = sum_{k>N} theta_k^2
     return np.append(tail[1:], 0.0)[:N_max] + np.cumsum(sigma_values(spec, N_max) ** 2)
@@ -118,8 +116,6 @@ def ure_threshold(spec: SigmaSpec, N_max: int) -> int | None:
     noise level by construction (for beta = 0 the N = 8 boundary is an
     exact equality, which plain eps-scaled arithmetic would spoil).
     """
-    if N_max < 1:
-        raise ValueError(f"N_max must be >= 1, got {N_max}")
     sig2 = sigma_values(unit_spec(spec), N_max) ** 2
     lhs = np.cumsum(sig2)
     rhs = 2.0 * np.sqrt(2.0 * np.cumsum(sig2**2))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import boolean, checked, freeze, list_of, nonneg_int, obj, pos_int, real, text
+from .checks import boolean, checked, freeze, list_of, nonneg, nonneg_int, obj, pos_int, real, text
 from .sequence_model import (
     SigmaSpec,
     fingerprint,
@@ -428,8 +428,6 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     processes of :func:`_sweep`.  Bit-identical output for identical
     (spec, N_max, mc) regardless of ``threads``.
     """
-    if N_max < 1:
-        raise ValueError(f"N_max must be >= 1, got {N_max}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     solved = _scan_rows(spec, N_max, mc, threads)
@@ -490,8 +488,6 @@ def gaussian_u0(spec: SigmaSpec, N: int) -> float:
     the true penalty at small N, where the chi-square tail is heavier
     than its Gaussian approximation.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
     s_n = _sigma_fourth_sum(spec, N)
     arg = s_n / (math.pi * sigma_at(spec, 1) ** 4)
     if arg <= 1.0:
@@ -505,8 +501,6 @@ def u1(spec: SigmaSpec, N: int) -> float:
     Compares against u0(N) = U0(N)/sqrt(2*S_N); for all large enough N
     the normalized penalty stays above this envelope.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
     arg = _sigma_fourth_sum(spec, N) / (2.0 * math.pi * sigma_at(spec, 1) ** 4)
     if arg <= 1.0:
         return 0.0
@@ -514,9 +508,8 @@ def u1(spec: SigmaSpec, N: int) -> float:
 
 
 def rhm_penalty(hull: HullTable, alpha: float, N_max: int) -> np.ndarray:
-    """RHM's penalty (1 + alpha) * U0(N), N = 1..N_max, for alpha >= 0 within the table."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    """RHM's penalty (1 + alpha) * U0(N), N = 1..N_max, for a finite alpha >= 0 within the table."""
+    alpha = checked("alpha", nonneg, alpha)
     if not 1 <= N_max <= hull.N_max:
         raise ValueError(f"N={N_max} outside hull table range 1..{hull.N_max}")
     return (1.0 + alpha) * hull.U0[:N_max]

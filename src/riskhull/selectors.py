@@ -11,7 +11,7 @@ exact, so one energy matrix over the largest N_max serves every rule
 (:meth:`Selector.pick`), as the replication engine uses it.
 
 A note on alpha: the risk bound behind RHM asks for alpha > 1, and the
-benchmark default is 1.1.  Any alpha >= 0 is accepted here; alpha = 0
+benchmark default is 1.1.  Any finite alpha >= 0 is accepted here; alpha = 0
 destabilizes strongly ill-posed spectra (beta around 2 and beyond) and
 very large alpha over-penalizes.
 """
@@ -59,8 +59,9 @@ class SelectorResult:
 class Selector:
     """A bandwidth rule: the URE objective plus ``pen[N-1]`` at N = 1..N_max.
 
-    A rule built from a hull table keeps it in ``hull``; it then applies
-    only to that table's spectrum (a mismatch means a stale cache).
+    :meth:`pick` is its one argmin.  A rule built from a hull table keeps
+    it in ``hull``; it then applies only to that table's spectrum (a
+    mismatch means a stale cache).
     """
 
     method: str
@@ -85,19 +86,8 @@ class Selector:
         if not 1 <= self.N_max <= n_max:
             raise ValueError(f"N_max={self.N_max} outside 1..{n_max}")
 
-    def objective(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
-        """Objective -cumsum(y^2) + 2*cumsum(sigma^2) + pen of every row of Y.
-
-        ``Y`` holds observations of the spectrum ``spec``; row r, column
-        N-1 of the result is the objective of row r at bandwidth N.
-        """
-        self.check(spec, Y.shape[1])
-        obj = ure_energy(Y[:, :self.N_max], sigma_values(spec, self.N_max) ** 2)
-        obj += self.pen
-        return obj
-
     def pick(self, energy: np.ndarray) -> np.ndarray:
-        """Selected N (1-based, int64) of every row of a :func:`ure_energy` matrix.
+        """Selected N (1-based, int64) of every row of a :func:`ure_energy` matrix: the smallest minimizer.
 
         ``energy`` may cover more than N_max bandwidths; the rule reads its
         first N_max columns, which equal the energy of the truncated rows.
@@ -105,12 +95,16 @@ class Selector:
         return np.argmin(energy[:, :self.N_max] + self.pen, axis=1) + 1
 
     def select_rows(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
-        """Selected N (1-based, int64) of every row of ``Y``: the smallest minimizer."""
-        return np.argmin(self.objective(Y, spec), axis=1) + 1
+        """:meth:`pick` of every row of ``Y``, observations of ``spec``."""
+        self.check(spec, Y.shape[1])
+        return self.pick(ure_energy(Y[:, :self.N_max], sigma_values(spec, self.N_max) ** 2))
 
     def __call__(self, obs: Observation) -> SelectorResult:
-        obj = self.objective(obs.ys[None, :], obs.sigma)[0]
-        return SelectorResult(N_selected=int(np.argmin(obj)) + 1, objective_values=obj, method=self.method)
+        """The rule on one observation: :meth:`pick`'s choice and the objective, energy plus ``pen``."""
+        self.check(obs.sigma, obs.n_max)
+        energy = ure_energy(obs.ys[None, :self.N_max], sigma_values(obs.sigma, self.N_max) ** 2)
+        return SelectorResult(N_selected=int(self.pick(energy)[0]), objective_values=energy[0] + self.pen,
+                              method=self.method)
 
 
 def ure_energy(Y: np.ndarray, sig2: np.ndarray) -> np.ndarray:

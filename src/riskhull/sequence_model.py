@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import checked, freeze, positive, real
+from .checks import checked, freeze, nonneg, positive
 
 __all__ = [
     "SigmaSpec",
@@ -69,16 +69,12 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     with the counter at ``[0, 0, r, 0]``; ``normal_rows`` draws a block of
     them.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=stream)
     return np.random.Generator(np.random.Philox(key=ss.generate_state(2)))
 
 
 def derive_seed(seed: int, *stream: int) -> int:
     """Deterministically derive a child seed for the given sub-stream."""
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=stream)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -121,8 +117,8 @@ def normal_rows(seed: int, first: int, n: int, out: np.ndarray) -> np.ndarray:
     the counter of this thread's one generator.  The rows of ``out`` must
     be C-contiguous float64, as ``standard_normal(out=)`` needs.
     """
-    if seed < 0 or first < 0:
-        raise ValueError(f"seed and first row must be nonnegative integers, got {seed} and {first}")
+    if first < 0:
+        raise ValueError(f"first row must be a nonnegative integer, got {first}")
     key = np.random.SeedSequence(seed).generate_state(2).tolist()
     for row, values in enumerate(out, first):
         _philox(key, row).standard_normal(n, out=values)
@@ -145,9 +141,7 @@ class SigmaSpec:
 
     def __post_init__(self) -> None:
         if self.kind == POWER_LAW:
-            eps, beta = checked("epsilon", positive, self.epsilon), checked("beta", real, self.beta)
-            if not np.isfinite(beta) or beta < 0:
-                raise ValueError(f"beta: must be a nonnegative finite real, got {beta}")
+            eps, beta = checked("epsilon", positive, self.epsilon), checked("beta", nonneg, self.beta)
             if self.values is not None:
                 raise ValueError("power-law spec does not take explicit values")
             object.__setattr__(self, "epsilon", eps)
@@ -289,8 +283,6 @@ class Observation:
 
     def __post_init__(self) -> None:
         arr = freeze(self, "ys")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if arr.size != self.n_max:
             raise ValueError(f"ys has length {arr.size}, expected n_max = {self.n_max}")
         if not np.all(np.isfinite(arr)):
@@ -314,8 +306,6 @@ def simulate(spec: SigmaSpec, signal: Signal, n_max: int, seed: int) -> Observat
     Identical seed gives a bit-identical observation no matter how many
     threads or processes are running.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     return make_observation(spec, signal, normal_rows(seed, 0, n_max, np.empty((1, n_max)))[0], seed=seed)
 
 
@@ -325,8 +315,7 @@ def signal_family(a: float, W: float, m: float, epsilon: float, n_max: int) -> S
     ``a`` sets the amplitude (signal-to-noise), ``W`` the effective
     bandwidth and ``m`` the smoothness of the roll-off.
     """
-    if a < 0:
-        raise ValueError(f"amplitude a must be >= 0, got {a}")
+    a = checked("a", nonneg, a)
     if W <= 0 or m <= 0 or epsilon <= 0:
         raise ValueError(f"W, m, epsilon must be positive, got W={W} m={m} epsilon={epsilon}")
     if n_max < 1:

@@ -17,9 +17,12 @@ at or past the crossing (beta = 2 is saturated from N = 15 on; beta = 1,
 N = 100 is not flagged).  The fresh check has Monte Carlo noise of
 relative order sqrt(U0 / (S * sigma_1^2)) at the crossing, so it can
 also pass a table error: at (beta = 2, N = 10) it reads 0.850 where the
-exact G(U0) is 1.10.  The test still runs the full stated grid at its
-tolerance and reports the outcome honestly rather than shrinking the
-grid or loosening the tolerance.
+exact G(U0) is 1.10, and at (beta = 2, N = 50), where the table's U0
+lies 28% below the exact root, no fresh sample lies at or above U0, so
+it reads 0.000 and the point reports ok where the exact G(U0) is 229.3.
+The test still runs the full stated grid at its tolerance and reports
+the outcome honestly rather than shrinking the grid or loosening the
+tolerance.
 """
 
 from __future__ import annotations

@@ -62,6 +62,16 @@ def test_squared_loss_symmetric_nonnegative(xs, ys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: projection_risk(ZERO_SIGNAL, spec, 0),
+    lambda spec: oracle_risk(Signal([1.0, 2.0]), spec, 0),
+    lambda spec: ure_threshold(spec, 0),
+], ids=["projection_risk", "oracle_risk", "ure_threshold"])
+def test_bandwidth_zero_is_rejected(call):
+    with pytest.raises(ValueError):
+        call(SigmaSpec.power_law(1.0, 1.0))
+
+
 def test_projection_risk_values():
     assert projection_risk(ZERO_SIGNAL, SigmaSpec.power_law(1.0, 1.0), 3) == 14.0
     assert projection_risk(Signal([2.0]), SigmaSpec.power_law(1.0, 0.0), 1) == 1.0

@@ -305,6 +305,8 @@ def test_hull_table_matches_standalone_solver(monkeypatch):
             assert table.U0[N - 1] == compute_u0(B1, N, mc)
     with pytest.raises(ValueError):
         compute_u0(B1, 0, mc)
+    with pytest.raises(ValueError):
+        build_hull_table(B1, 0, mc)
 
 
 def test_hull_table_monotonized_is_running_max():
@@ -454,6 +456,8 @@ def test_gaussian_u0_values():
     assert gaussian_u0(spec, 2) == pytest.approx(math.sqrt(2.0 * math.pi * math.e), rel=1e-12)
     assert gaussian_u0(B0, 100) == pytest.approx(math.sqrt(200.0 * math.log(100.0 / math.pi)), rel=1e-12)
     assert gaussian_u0(B0, 3) == 0.0  # S_N = 3 <= pi: clamped
+    with pytest.raises(ValueError):
+        gaussian_u0(B0, 0)
 
 
 def test_u1_values():
@@ -462,6 +466,8 @@ def test_u1_values():
     assert u1(spec, 2) == pytest.approx(1.0, rel=1e-12)
     assert u1(B0, 100) == pytest.approx(math.sqrt(math.log(100.0 / (2.0 * math.pi))), rel=1e-12)
     assert u1(B0, 6) == 0.0  # S_N = 6 <= 2*pi: clamped
+    with pytest.raises(ValueError):
+        u1(B0, 0)
 
 
 def test_gaussian_u0_nondecreasing_in_n():

@@ -170,7 +170,8 @@ def test_select_rhm_requires_hull_coverage():
 
 def test_rhm_penalty_is_one_computation():
     # rhm_risk, penalty_ratio and the RHM selector add the same penalty and
-    # reject a negative alpha or a bandwidth past the table with one message
+    # reject a negative, NaN or infinite alpha or a bandwidth past the table
+    # with one message
     spec = SigmaSpec.power_law(1.0, 1.0)
     table = build_hull_table(spec, 12, McParams(samples=20_000, seed=8))
     pen = rhm_selector(table, 1.1, 12).pen
@@ -181,7 +182,7 @@ def test_rhm_penalty_is_one_computation():
         assert rhm_risk(ZERO_SIGNAL, spec, table, 1.1, N) == projection_risk(ZERO_SIGNAL, spec, N) + pen[N - 1]
         denom = float(np.sum(sigma_values(spec, N) ** 2))
         assert penalty_ratio(spec, table, 1.1, N)[0] == 1.0 + float(pen[N - 1]) / denom
-    for alpha, N in ((-0.5, 3), (1.1, 13), (1.1, 0)):
+    for alpha, N in ((-0.5, 3), (1.1, 13), (1.1, 0), (float("nan"), 3), (float("inf"), 3)):
         messages = set()
         for call in (lambda: rhm_risk(ZERO_SIGNAL, spec, table, alpha, N),
                      lambda: penalty_ratio(spec, table, alpha, N),

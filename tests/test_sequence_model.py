@@ -56,8 +56,9 @@ def test_sigma_at_rejects_bad_index():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SigmaSpec.power_law(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SigmaSpec.power_law(1.0, -0.5)
+    for beta in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            SigmaSpec.power_law(1.0, beta)
     with pytest.raises(ValueError):
         SigmaSpec.explicit([])
     with pytest.raises(ValueError):
@@ -146,6 +147,20 @@ def test_observation_validation():
         Observation(ys=np.ones(3), n_max=4, sigma=spec, seed=0)
     with pytest.raises(ValueError):
         Observation(ys=np.array([np.inf]), n_max=1, sigma=spec, seed=0)
+    with pytest.raises(ValueError):
+        Observation(ys=np.ones(0), n_max=0, sigma=spec, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rng_for(-1),
+    lambda: derive_seed(-1),
+    lambda: simulate(SigmaSpec.power_law(1.0, 0.0), ZERO_SIGNAL, 0, 0),
+    lambda: simulate(SigmaSpec.power_law(1.0, 0.0), ZERO_SIGNAL, -1, 0),
+], ids=["rng_for-seed", "derive_seed-seed", "simulate-n_max-0", "simulate-n_max-negative"])
+def test_negative_seed_and_empty_observation_are_rejected(call):
+    # numpy refuses a negative seed or row length, and sigma_values a bandwidth of 0
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_derive_seed_distinct_streams():
@@ -254,8 +269,9 @@ def test_signal_family_values():
 
 
 def test_signal_family_validation():
-    with pytest.raises(ValueError):
-        signal_family(-1.0, 6.0, 6.0, 1.0, 5)
+    for a in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            signal_family(a, 6.0, 6.0, 1.0, 5)
     with pytest.raises(ValueError):
         signal_family(1.0, 0.0, 6.0, 1.0, 5)
 
