@@ -63,6 +63,7 @@ from .bench import (
 from .checks import boolean, checked, list_of, nonneg, nonneg_int, obj, pos_int, positive, real, text
 from .estimators import project
 from .hull import (
+    _HULL_FORMAT,
     DEFAULT_SAMPLES,
     HullCacheError,
     HullTable,
@@ -248,7 +249,8 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec) -> tuple[HullTable, str, 
     """
     uspec = unit_spec(spec)
     key = (fingerprint(uspec), cfg.n_max, cfg.mc.samples, cfg.mc.seed, cfg.mc.monotonize)
-    digest = hashlib.sha256("|".join(map(str, key)).encode()).hexdigest()[:16]
+    # the format tag joins the default file's key, so no run reads a table of another stream there
+    digest = hashlib.sha256("|".join(map(str, (_HULL_FORMAT, *key))).encode()).hexdigest()[:16]
     path = cfg.hull_cache or os.path.join(cfg.out_dir, f"hull_{digest}.json")
     if os.path.exists(path) and not cfg.rebuild:
         table, _ = load_hull_table(path)
@@ -296,7 +298,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v6",
+        "format": "riskhull-manifest-v7",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,

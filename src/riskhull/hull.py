@@ -17,14 +17,19 @@ All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
 That one coupled (N_max, samples) path matrix is drawn by a single block
 kernel, ``_fill_paths``, in fixed-size blocks with per-block Philox
-streams.  The samplers and ``compute_u0`` read rows of it through one row
-reader, ``_path_rows``, so each eta_N sample is the same number whichever
-of them asks for it.  The table build never holds the matrix: it streams
-the blocks and solves each N on a kept part of its samples, with the
-same result bit for bit (see ``_scan_rows``).  Its blocks after block 0
-run through ``_sweep``, a map of an index over forked worker processes,
-which the efficiency sweep of ``riskhull.bench`` runs on too.  Tables
-are bit-identical for a given seed under any worker count.
+streams.  The paths need only xi^2, and the kernel draws those two rows
+at a time by the Box-Muller transform from the streams' raw 64-bit words
+(format ``riskhull-hull-v2``).  The samplers and ``compute_u0`` read rows
+of it through one row reader, ``_path_rows``, so each eta_N sample is the
+same number whichever of them asks for it.  The table build never holds
+the matrix: it streams the blocks and solves each N on a kept part of its
+samples, with the same result bit for bit (see ``_scan_rows``).  Its
+blocks after block 0 run through ``_sweep``, a map of an index over
+forked worker processes, which the efficiency sweep of ``riskhull.bench``
+runs on too.  Tables are bit-identical for a given seed under any worker
+count, on one numpy build and CPU: ``np.log``, ``np.cos`` and ``np.sin``
+are SIMD-dispatched, so another CPU family or numpy build may change
+their last bits.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -84,6 +89,7 @@ __all__ = [
 MIN_SAMPLES = 10_000
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BLOCK = 65_536
+_ANGLE = np.float32(2 * math.pi / 2**24)  # the Box-Muller angle per unit of a word's low 24 bits
 # the floors of the streamed hull build (see _scan_rows)
 _TOP_K = 8192
 _MARGIN = 4
@@ -162,19 +168,43 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
     This is the one block kernel.  Row N-1 holds the cumulative eta_N
     samples; block b holds the columns from ``b * _SAMPLE_BLOCK`` on (at
     most ``_SAMPLE_BLOCK`` of them), drawn from the Philox stream
-    (mc.seed, b) in the calling thread.  The draw fills the block row by
-    row, so its first n rows do not depend on N_max >= n.  A spectrum
-    whose paths could overflow float32 raises ValueError before the draw.
+    (mc.seed, b) in the calling thread.  A spectrum whose paths could
+    overflow float32 raises ValueError before the draw.
+
+    The paths use only xi^2, so the draw is Box-Muller for squares (Box &
+    Muller 1958): one uniform radius and one uniform angle give two
+    independent chi-square(1) values, R^2 cos^2(theta) and R^2 sin^2(theta)
+    with R^2 = -2 ln U.  Rows 2j and 2j+1 read the raw 64-bit words j*n ..
+    (j+1)*n - 1 of the block's stream, one word w per column: U =
+    (floor(w / 2^24) + 1) * 2^-40 in (0, 1], with R^2 in float64, and
+    theta = 2 pi (w mod 2^24) / 2^24, with cos and sin in float32.  For
+    an odd N_max the last pair's second row is dropped, so the first n
+    rows do not depend on N_max >= n.  The largest value is -2 ln 2^-40
+    = 55.45: the draw truncates chi-square(2) there, which it passes with
+    probability 9e-13 per pair.
     """
     w = _norm_weights(spec, N_max)
-    limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) max xi^2; P(|xi| > 10) = 1.5e-23
+    limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) * 55.45, the largest xi^2
     if not w.sum() <= limit:
         shape = "this explicit sigma table" if spec.beta is None else f"beta = {spec.beta}"
         raise ValueError(f"the spectrum with {shape} is too steep for N_max = {N_max}: its weights "
                          f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
-    x = rng_for(mc.seed, block).standard_normal((N_max, n), dtype=np.float32)
-    np.multiply(x, x, out=x)
+    raw = rng_for(mc.seed, block).bit_generator.random_raw
+    x = np.empty((N_max, n), dtype=np.float32)
+    r2 = np.empty(n, dtype=np.float32)
+    for i in range(0, N_max, 2):  # one row pair at a time keeps the temporaries in cache
+        word = raw(n)
+        theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
+        theta *= _ANGLE
+        u = (word >> 24).view(np.int64).astype(np.float64)
+        u += 1.0
+        u *= 2.0**-40
+        np.multiply(np.log(u, out=u), -2.0, out=r2)
+        for row, trig in zip(x[i:i + 2], (np.cos, np.sin)):
+            trig(theta, out=row)
+            row *= row
+            row *= r2
     x -= np.float32(1.0)
     x *= w.astype(np.float32)[:, None]
     # the cumulative sum over N row by row: the float32 adds of
@@ -533,7 +563,9 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 # On-disk cache
 # ---------------------------------------------------------------------------
 
-_HULL_FORMAT = "riskhull-hull-v1"
+# v2 is the Box-Muller draw of _fill_paths; a v1 table holds other samples of
+# the same streams (numpy's normal ziggurat), so it is refused by its tag
+_HULL_FORMAT = "riskhull-hull-v2"
 
 # The hull document: each field and the check of its JSON type.  Every
 # field but "format" and "spec" is the HullTable attribute of its name.
@@ -584,21 +616,27 @@ def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:
     """Load and self-validate a hull table, read through ``_HULL_FIELDS``.
 
     A file that is not the document :func:`save_hull_table` writes raises
-    HullCacheError; one without ``saturated`` has no saturated entry.
+    HullCacheError; one without ``saturated`` has no saturated entry.  A
+    document of another format tag, such as a ``riskhull-hull-v1`` table
+    drawn from the old random stream, raises one that names the tag.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise HullCacheError(f"cannot read hull cache {path}: {exc}") from exc
+    tag = doc.get("format") if isinstance(doc, dict) else None
+    if isinstance(tag, str) and tag != _HULL_FORMAT:
+        raise HullCacheError(f"hull cache {path} is in format {tag!r}, which this version does not read "
+                             f"({_HULL_FORMAT} tables are drawn from another random stream); rerun with "
+                             f"--rebuild to replace it")
     try:
         doc = {"saturated": [], **checked("document", obj, doc)}
         odd = sorted(doc.keys() ^ _HULL_FIELDS.keys())
         if odd:
             raise ValueError(f"{odd[0]}: {'unknown' if odd[0] in doc else 'missing'} field")
         fields = {name: checked(name, check, doc[name]) for name, check in _HULL_FIELDS.items()}
-        if fields.pop("format") != _HULL_FORMAT:
-            raise ValueError(f"unexpected format tag {doc['format']!r}")
+        fields.pop("format")  # checked above
         spec = checked("spec", spec_from_dict, fields.pop("spec"))
         if fingerprint(spec) != fields["spec_fingerprint"]:
             raise ValueError("stored fingerprint does not match the stored spec")

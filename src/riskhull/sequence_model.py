@@ -316,8 +316,9 @@ def signal_family(a: float, W: float, m: float, epsilon: float, n_max: int) -> S
     bandwidth and ``m`` the smoothness of the roll-off.
     """
     a = checked("a", nonneg, a)
-    if W <= 0 or m <= 0 or epsilon <= 0:
-        raise ValueError(f"W, m, epsilon must be positive, got W={W} m={m} epsilon={epsilon}")
+    for name, v in (("W", W), ("m", m), ("epsilon", epsilon)):
+        if not v > 0:  # a NaN fails too; W = inf, the flat signal a * epsilon, is accepted
+            raise ValueError(f"{name} must be positive, got {v}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     i = np.arange(1, n_max + 1, dtype=np.float64)

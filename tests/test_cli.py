@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import riskhull.bench
 import riskhull.cli
 import riskhull.hull
-from riskhull import HullTable, McParams, SigmaSpec, build_hull_table, fingerprint, save_hull_table
+from riskhull import HullTable, McParams, SigmaSpec, build_hull_table, fingerprint, save_hull_table, unit_spec
 
 
 @pytest.fixture
@@ -240,10 +241,12 @@ def test_hull_too_steep_for_float32_exits_2_before_any_draw(tmp_path, monkeypatc
 
 def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):
     class Refuse:
-        def standard_normal(self, *args, **kwargs):
-            raise MemoryError
+        class bit_generator:
+            @staticmethod
+            def random_raw(*args, **kwargs):
+                raise MemoryError
 
-    # every build allocates its blocks in the block kernel's draw
+    # every build allocates its blocks in the block kernel's draw of raw words
     monkeypatch.setattr(riskhull.hull, "rng_for", lambda *args: Refuse())
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
@@ -262,6 +265,38 @@ def test_hull_stale_cache_exits_3(tmp_path, run_cli):
     res = run_cli("hull", "--config", cfg2, cwd=tmp_path)
     assert res.returncode == 3
     assert "mismatch" in res.stderr
+
+
+def test_hull_cache_of_the_old_format_exits_3_naming_it(tmp_path, monkeypatch, capsys):
+    # a riskhull-hull-v1 table was drawn from the old random stream: an explicit
+    # cache path names the tag and --rebuild, and the default path never reads it
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "hull.json").read_text())
+    assert doc["format"] == "riskhull-hull-v2"
+    old = json.dumps(dict(doc, format="riskhull-hull-v1"))
+    (tmp_path / "hull.json").write_text(old)
+    capsys.readouterr()
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "'riskhull-hull-v1'" in err and "--rebuild" in err and "corrupted" not in err
+    assert (tmp_path / "hull.json").read_text() == old
+    assert riskhull.cli.main(["hull", "--config", cfg, "--rebuild"]) == 0
+    assert json.loads((tmp_path / "hull.json").read_text())["format"] == "riskhull-hull-v2"
+
+    # the default file of the v1 layout, keyed by the parameters alone
+    hull = dict(BASE_HULL_CFG["hull"])
+    del hull["cache"]
+    cfg = write_config(tmp_path / "d.json", dict(BASE_HULL_CFG, hull=hull))
+    key = (fingerprint(unit_spec(SigmaSpec.power_law(1.0, 1.0))), 12, 20000, 7, True)
+    v1 = tmp_path / "out" / f"hull_{hashlib.sha256('|'.join(map(str, key)).encode()).hexdigest()[:16]}.json"
+    v1.write_text(old)
+    capsys.readouterr()
+    assert riskhull.cli.main(["hull", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("hull built: ")
+    assert v1.read_text() == old
+    assert len(list(v1.parent.glob("hull_*.json"))) == 2  # the v1 file and the new one
 
 
 def _half_noise_cfg(hull):
@@ -440,7 +475,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v6"
+    assert manifest["format"] == "riskhull-manifest-v7"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}

@@ -276,6 +276,15 @@ def test_signal_family_validation():
         signal_family(1.0, 0.0, 6.0, 1.0, 5)
 
 
+def test_signal_family_rejects_nan_shape_by_name():
+    nan = float("nan")
+    for args, name in (((nan, 6.0, 1.0), "W"), ((6.0, nan, 1.0), "m"), ((6.0, 6.0, nan), "epsilon")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+            signal_family(1.0, *args, 5)
+    # an infinite bandwidth is the flat signal a * epsilon
+    assert signal_family(2.0, float("inf"), 6.0, 0.5, 4).coeffs.tolist() == [1.0] * 4
+
+
 @given(
     a=st.floats(0.001, 1000.0),
     W=st.floats(1.0, 50.0),
