@@ -166,10 +166,11 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
     """Block ``block`` of the (N_max, samples) float32 normalized eta path matrix.
 
     This is the one block kernel.  Row N-1 holds the cumulative eta_N
-    samples; block b holds the columns from ``b * _SAMPLE_BLOCK`` on (at
-    most ``_SAMPLE_BLOCK`` of them), drawn from the Philox stream
-    (mc.seed, b) in the calling thread.  A spectrum whose paths could
-    overflow float32 raises ValueError before the draw.
+    samples, each row made in one float32 pass: xi^2 - 1, times its weight
+    (sigma_N/sigma_1)^2, plus the row before.  Block b holds the columns
+    from ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them),
+    drawn from the Philox stream (mc.seed, b) in the calling thread.  A
+    spectrum whose paths could overflow float32 raises ValueError first.
 
     The paths use only xi^2, so the draw is Box-Muller for squares (Box &
     Muller 1958): one uniform radius and one uniform angle give two
@@ -193,7 +194,7 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
     raw = rng_for(mc.seed, block).bit_generator.random_raw
     x = np.empty((N_max, n), dtype=np.float32)
     r2 = np.empty(n, dtype=np.float32)
-    for i in range(0, N_max, 2):  # one row pair at a time keeps the temporaries in cache
+    for i in range(0, N_max, 2):  # one row pair at a time keeps the temporaries and the rows in cache
         word = raw(n)
         theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
         theta *= _ANGLE
@@ -201,17 +202,14 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
         u += 1.0
         u *= 2.0**-40
         np.multiply(np.log(u, out=u), -2.0, out=r2)
-        for row, trig in zip(x[i:i + 2], (np.cos, np.sin)):
+        for j, row, trig in zip(range(i, N_max), x[i:i + 2], (np.cos, np.sin)):
             trig(theta, out=row)
             row *= row
             row *= r2
-    x -= np.float32(1.0)
-    x *= w.astype(np.float32)[:, None]
-    # the cumulative sum over N row by row: the float32 adds of
-    # np.add.accumulate(x, axis=0) in the same order, at a small
-    # fraction of that call's cost
-    for i in range(1, N_max):
-        np.add(x[i], x[i - 1], out=x[i])
+            row -= np.float32(1.0)
+            row *= np.float32(w[j])
+            if j:
+                row += x[j - 1]
     return x
 
 
@@ -245,7 +243,8 @@ def _sweep(run, count: int, workers: int) -> list:
     call that ends in ``os._exit`` ends a worker, not the caller.  Without
     ``os.fork``, and for one worker or one index, it is a plain loop.  A
     worker that dies without a result, as when the OS kills it for lack
-    of memory, raises MemoryError.  No worker outlives the call.
+    of memory, raises MemoryError, and so does a fork the OS refuses.  No
+    worker outlives the call.
     """
     if workers < 2 or count < 2 or not hasattr(os, "fork"):
         return [run(i) for i in range(count)]
@@ -259,6 +258,8 @@ def _sweep(run, count: int, workers: int) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _run_chunk(run, range(lo, min(lo + chunk, count)), write)
+            except OSError as exc:  # only the parent's fork gets here: a worker ends in os._exit
+                raise MemoryError(f"the OS refused to start a worker process: {exc}") from exc
             finally:
                 os.close(write)
             running.append(pid)
@@ -615,10 +616,10 @@ def save_hull_table(table: HullTable, spec: SigmaSpec, path) -> None:
 def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:
     """Load and self-validate a hull table, read through ``_HULL_FIELDS``.
 
-    A file that is not the document :func:`save_hull_table` writes raises
-    HullCacheError; one without ``saturated`` has no saturated entry.  A
-    document of another format tag, such as a ``riskhull-hull-v1`` table
-    drawn from the old random stream, raises one that names the tag.
+    A file that is not the document :func:`save_hull_table` writes, such
+    as one with a field missing, raises HullCacheError.  A document of
+    another format tag, such as a ``riskhull-hull-v1`` table drawn from
+    the old random stream, raises one that names the tag.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -631,7 +632,7 @@ def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:
                              f"({_HULL_FORMAT} tables are drawn from another random stream); rerun with "
                              f"--rebuild to replace it")
     try:
-        doc = {"saturated": [], **checked("document", obj, doc)}
+        doc = checked("document", obj, doc)
         odd = sorted(doc.keys() ^ _HULL_FIELDS.keys())
         if odd:
             raise ValueError(f"{odd[0]}: {'unknown' if odd[0] in doc else 'missing'} field")

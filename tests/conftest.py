@@ -66,12 +66,12 @@ def malformed_hull_docs():
     """The malformed variants of a valid power-law hull document ``doc``.
 
     Each is valid JSON but not the document `save_hull_table` writes: not
-    an object at all, one field of the wrong JSON type, a `saturated`
-    list that names a bandwidth past N_max or names one twice, a
-    `SigmaFourth` list ending in NaN, a `U0` list with a NaN or a negative
-    entry or one entry short, or a `spec` with a key its kind does not
-    take (the explicit one carries its own fingerprint, so only that key
-    is wrong).
+    an object at all, one without its `saturated` field, one field of the
+    wrong JSON type, a `saturated` list that names a bandwidth past N_max
+    or names one twice, a `SigmaFourth` list ending in NaN, a `U0` list
+    with a NaN or a negative entry or one entry short, or a `spec` with a
+    key its kind does not take (the explicit one carries its own
+    fingerprint, so only that key is wrong).
     """
     def variants(doc):
         wrong = {"spec": [], "saturated": "12", "monotonized": "false", "seed": True,
@@ -84,7 +84,8 @@ def malformed_hull_docs():
                  dict(doc, spec=dict(doc["spec"], junk=0)),
                  dict(doc, spec=dict(riskhull.spec_to_dict(explicit), beta=spec.beta),
                       spec_fingerprint=riskhull.fingerprint(explicit))]
-        return ([[], 5, "x", None] + [dict(doc, **{field: v}) for field, v in wrong.items()]
+        return ([[], 5, "x", None, {k: v for k, v in doc.items() if k != "saturated"}]
+                + [dict(doc, **{field: v}) for field, v in wrong.items()]
                 + [dict(doc, saturated=v) for v in saturated]
                 + [dict(doc, SigmaFourth=doc["SigmaFourth"][:-1] + [float("nan")])]
                 + [dict(doc, U0=v) for v in u0] + specs)

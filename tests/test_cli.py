@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import gc
 import hashlib
 import importlib
@@ -602,6 +603,53 @@ def test_hull_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, capsys
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "--threads" in err and "worker process" in err
     assert sorted(os.listdir(tmp_path)) == ["c.json"]  # no cache, no output directory
+
+
+def _refusing_fork(refusal):
+    """An os.fork that the OS refuses with ENOMEM or EAGAIN, or with ENOMEM after one real fork ("once")."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        if refusal == "once" and not forks:
+            forks.append(real_fork())
+            return forks[0]
+        if refusal == "eagain":
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    return fork
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+                    reason="forks workers and counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("refusal", ["enomem", "eagain", "once"])
+@pytest.mark.parametrize("command", ["hull", "bench"])
+def test_refused_fork_exits_2_naming_threads(tmp_path, monkeypatch, capsys, command, refusal):
+    # both runs sweep three blocks on two workers, so they fork twice: "once" starts one real worker
+    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 5_000)
+    monkeypatch.setattr(riskhull.bench, "_REP_BLOCK", 8)
+    monkeypatch.setattr(os, "fork", _refusing_fork(refusal))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG if command == "hull" else _EFFICIENCY_URE)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert riskhull.cli.main([command, "--config", cfg, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--threads" in err and "worker process" in err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["c.json"]  # no cache, no CSV
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["hull", "bench"])
+def test_threads_below_one_exits_2(tmp_path, monkeypatch, capsys, command, threads):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG if command == "hull" else _EFFICIENCY_URE)
+    assert riskhull.cli.main([command, "--config", cfg, "--threads", threads]) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 # sigma_3^2 = 3**800 overflows float64; at epsilon 1e-100 and beta 150, sigma_k^2 stays finite

@@ -150,6 +150,43 @@ def test_block_kernel_rows_do_not_depend_on_n_max():
         assert np.array_equal(riskhull.hull._fill_paths(B1, 7, mc, b), riskhull.hull._fill_paths(B1, 200, mc, b)[:7])
 
 
+def _three_pass_block(spec, N_max, mc, block):
+    """The block kernel in three passes: draw every row pair, centre and weight the whole block, then
+    cumulate row by row.  Each pair's temporaries have the kernel's shapes, so numpy runs the same
+    SIMD kernels on them."""
+    n = min(65_536, mc.samples - block * 65_536)
+    raw = riskhull.hull.rng_for(mc.seed, block).bit_generator.random_raw
+    x = np.empty((N_max, n), dtype=np.float32)
+    r2 = np.empty(n, dtype=np.float32)
+    for i in range(0, N_max, 2):
+        word = raw(n)
+        theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
+        theta *= riskhull.hull._ANGLE
+        u = (word >> 24).view(np.int64).astype(np.float64)
+        u += 1.0
+        u *= 2.0**-40
+        np.multiply(np.log(u, out=u), -2.0, out=r2)
+        for row, trig in zip(x[i:i + 2], (np.cos, np.sin)):
+            trig(theta, out=row)
+            row *= row
+            row *= r2
+    x -= np.float32(1.0)
+    x *= (sigma_values(unit_spec(spec), N_max) ** 2).astype(np.float32)[:, None]
+    for i in range(1, N_max):
+        np.add(x[i], x[i - 1], out=x[i])
+    return x
+
+
+@pytest.mark.parametrize("spec", [B0, B1, B2], ids=["beta0", "beta1", "beta2"])
+def test_block_kernel_matches_the_three_pass_kernel_bit_for_bit(spec):
+    # one pass per row makes the same float32 operations on every element in the same order
+    mc = McParams(samples=70_000, seed=4)
+    for N_max in (7, 8):
+        for b in (0, 1):  # a full block and the short last one
+            assert np.array_equal(riskhull.hull._fill_paths(spec, N_max, mc, b),
+                                  _three_pass_block(spec, N_max, mc, b)), (N_max, b)
+
+
 @pytest.mark.slow
 def test_eta_moments_flat_spectrum():
     # eta_50 for sigma == 1 has mean 0 and variance 2 * 50.
