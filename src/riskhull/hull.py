@@ -16,17 +16,18 @@ infimum is found by a single suffix-sum scan of the sorted samples.
 All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
 That one coupled (N_max, samples) path matrix is drawn by a single block
-kernel, ``_fill_paths``, in fixed-size blocks with per-block Philox
-streams.  The paths need only xi^2, and the kernel draws those two rows
-at a time by the Box-Muller transform from the streams' raw 64-bit words
-(format ``riskhull-hull-v2``).  The samplers and ``compute_u0`` read rows
-of it through one row reader, ``_path_rows``, so each eta_N sample is the
-same number whichever of them asks for it.  The table build never holds
-the matrix: it streams the blocks and solves each N on a kept part of its
-samples, with the same result bit for bit (see ``_scan_rows``).  Its
-blocks after block 0 run through ``_sweep``, a map of an index over
-forked worker processes, which the efficiency sweep of ``riskhull.bench``
-runs on too.  Tables are bit-identical for a given seed under any worker
+kernel, ``_block_rows``, in fixed-size blocks with per-block Philox
+streams, and it yields each block one finished row at a time.  The paths
+need only xi^2, and the kernel draws those two rows at a time by the
+Box-Muller transform from the streams' raw 64-bit words (format
+``riskhull-hull-v2``).  The samplers and ``compute_u0`` read rows of it
+through one row reader, ``_path_rows``, so each eta_N sample is the same
+number whichever of them asks for it.  The table build never holds the
+matrix, nor a block of it: it streams the rows and solves each N on a
+kept part of its samples, with the same result bit for bit (see
+``_scan_rows``).  Its blocks after block 0 run through ``_sweep``, a map
+of an index over forked worker processes, which the efficiency sweep of
+``riskhull.bench`` runs on too.  Tables are bit-identical for a given seed under any worker
 count, on one numpy build and CPU: ``np.log``, ``np.cos`` and ``np.sin``
 are SIMD-dispatched, so another CPU family or numpy build may change
 their last bits.
@@ -162,15 +163,19 @@ def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
     return sigma_values(unit_spec(spec), N) ** 2
 
 
-def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.ndarray:
-    """Block ``block`` of the (N_max, samples) float32 normalized eta path matrix.
+def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
+    """Yield the rows of block ``block`` of the (N_max, samples) float32 normalized eta path matrix.
 
     This is the one block kernel.  Row N-1 holds the cumulative eta_N
     samples, each row made in one float32 pass: xi^2 - 1, times its weight
     (sigma_N/sigma_1)^2, plus the row before.  Block b holds the columns
     from ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them),
-    drawn from the Philox stream (mc.seed, b) in the calling thread.  A
-    spectrum whose paths could overflow float32 raises ValueError first.
+    drawn from the Philox stream (mc.seed, b) in the calling thread.  The
+    rows come in order, each finished as it is yielded, from one reused
+    two-row buffer: a yielded row is a view that the row after the next
+    overwrites, so a caller reads or copies it before asking on.  A
+    spectrum whose paths could overflow float32 raises ValueError before
+    the first row is drawn.
 
     The paths use only xi^2, so the draw is Box-Muller for squares (Box &
     Muller 1958): one uniform radius and one uniform angle give two
@@ -179,7 +184,7 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
     (j+1)*n - 1 of the block's stream, one word w per column: U =
     (floor(w / 2^24) + 1) * 2^-40 in (0, 1], with R^2 in float64, and
     theta = 2 pi (w mod 2^24) / 2^24, with cos and sin in float32.  For
-    an odd N_max the last pair's second row is dropped, so the first n
+    an odd N_max the last pair's second row is never drawn, so the first n
     rows do not depend on N_max >= n.  The largest value is -2 ln 2^-40
     = 55.45: the draw truncates chi-square(2) there, which it passes with
     probability 9e-13 per pair.
@@ -192,9 +197,9 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
                          f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
     raw = rng_for(mc.seed, block).bit_generator.random_raw
-    x = np.empty((N_max, n), dtype=np.float32)
+    x = np.empty((2, n), dtype=np.float32)  # row j is x[j % 2], and the row before it the other one
     r2 = np.empty(n, dtype=np.float32)
-    for i in range(0, N_max, 2):  # one row pair at a time keeps the temporaries and the rows in cache
+    for i in range(0, N_max, 2):
         word = raw(n)
         theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
         theta *= _ANGLE
@@ -202,15 +207,25 @@ def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.nda
         u += 1.0
         u *= 2.0**-40
         np.multiply(np.log(u, out=u), -2.0, out=r2)
-        for j, row, trig in zip(range(i, N_max), x[i:i + 2], (np.cos, np.sin)):
+        for j, row, prev, trig in zip(range(i, N_max), x, x[::-1], (np.cos, np.sin)):
             trig(theta, out=row)
             row *= row
             row *= r2
             row -= np.float32(1.0)
             row *= np.float32(w[j])
             if j:
-                row += x[j - 1]
-    return x
+                row += prev
+            yield row
+
+
+def _fill_paths(spec: SigmaSpec, N_max: int, mc: McParams, block: int) -> np.ndarray:
+    """Block ``block`` of the path matrix whole, float32 (N_max, n): a copy of each row of :func:`_block_rows`.
+
+    The build and the row reader never hold a block.  This whole-block form
+    is what the tests compare with reference kernels, and what the
+    benchmark's tracer (``perfbench/spans.py``) sizes when it is called.
+    """
+    return np.array([row.copy() for row in _block_rows(spec, N_max, mc, block)])
 
 
 def _n_blocks(mc: McParams) -> int:
@@ -220,17 +235,17 @@ def _n_blocks(mc: McParams) -> int:
 def _path_rows(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
     """Rows N-1 of the path matrix for the sorted bandwidths ``Ns``.
 
-    Returns float32 (len(Ns), samples), read block by block out of
-    :func:`_fill_paths` into one preallocated array, with one block live
-    at a time.
+    Returns float32 (len(Ns), samples), copied row by row out of
+    :func:`_block_rows` into one preallocated array.
     """
     if not Ns or Ns[0] < 1:
         raise ValueError(f"need a nonempty list of bandwidths >= 1, got {list(Ns)}")
     rows = np.array(Ns) - 1
     out = np.empty((rows.size, mc.samples), dtype=np.float32)
     for b in range(_n_blocks(mc)):
-        x = _fill_paths(spec, Ns[-1], mc, b)
-        out[:, b * _SAMPLE_BLOCK:b * _SAMPLE_BLOCK + x.shape[1]] = x[rows]
+        cols = slice(b * _SAMPLE_BLOCK, (b + 1) * _SAMPLE_BLOCK)
+        for j, row in enumerate(_block_rows(spec, Ns[-1], mc, b)):
+            out[rows == j, cols] = row
     return out
 
 
@@ -309,49 +324,45 @@ def _run_chunk(run, indices: range, write: int) -> None:
 
 
 def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[tuple[float, bool]]:
-    """:func:`_u0_scan` of every whole row, from blocks drawn one at a time.
+    """:func:`_u0_scan` of every whole row, from rows drawn one at a time.
 
-    The path matrix never exists whole: the caller draws block 0 of
-    :func:`_fill_paths`, and :func:`_sweep` maps the others, last first,
-    on up to ``workers`` processes, each holding one block at a time.
+    The path matrix never exists whole, nor does a block of it: the caller
+    draws the rows of block 0 from :func:`_block_rows`, and :func:`_sweep`
+    maps the other blocks, last first, on up to ``workers`` processes.
     Each row keeps of every block only its samples above the row's floor,
-    set on block 0 by one rule.  If m of the row's n0 samples there lie
-    past its crossing (:func:`_crossing`), the floor is block 0's
-    r-th largest positive sample (from 0), with r = max(R, m + 1 + 2 *
-    _MARGIN * isqrt(m + 1)) and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN``
-    standard deviations of that count below the crossing, and at least
-    about ``_TOP_K`` samples kept.  Where r runs past the positive
-    samples, as when block 0 crosses at 0, the floor is 0 and the row
-    keeps every positive sample, all that the scan reads.  Each row's
-    pieces are joined in block order, so the result does not depend on
-    ``workers``.  The kept samples are the top of the sorted row and the
-    scan's sums add from the largest down, so they round as on the whole
-    row, and the root is the same whenever it lies above the floor: a
-    positive root, a saturated one, or any root with floor 0.  A row
-    that fails this, a positive floor and a root of 0, is read again
-    whole through :func:`_path_rows` in the calling process (the redo).
+    taken as the row is yielded, and the floor is set on block 0 by one
+    rule.  If m of the row's n0 samples there lie past its crossing
+    (:func:`_crossing`), the floor is block 0's r-th largest positive
+    sample (from 0), with r = max(R, m + 1 + 2 * _MARGIN * isqrt(m + 1))
+    and R = ``_TOP_K * n0 // S``: ``2 * _MARGIN`` standard deviations of
+    that count below the crossing, and at least about ``_TOP_K`` samples
+    kept.  Where r runs past the positive samples, as when block 0 crosses
+    at 0, the floor is 0 and the row keeps every positive sample, all that
+    the scan reads.  Each row's pieces are joined in block order, so the
+    result does not depend on ``workers``.  The kept samples are the top
+    of the sorted row and the scan's sums add from the largest down, so
+    they round as on the whole row, and the root is the same whenever it
+    lies above the floor: a positive root, a saturated one, or any root
+    with floor 0.  A row that fails this, a positive floor and a root of
+    0, is read again whole through :func:`_path_rows` in the calling
+    process (the redo).
     """
     S, blocks = mc.samples, _n_blocks(mc)
-    x = _fill_paths(spec, N_max, mc, 0)
-    n0 = x.shape[1]
+    n0 = min(_SAMPLE_BLOCK, S)
     rank = _TOP_K * n0 // S
-    floors = []
-    for row in x:
+    floors, first = [], []
+    for row in _block_rows(spec, N_max, mc, 0):
         top, m = _crossing(row, n0)
         r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
         floors.append(top[r] if r < top.size else 0)
-    del row, top  # a view left bound would keep all of block 0 alive
-
-    def kept(x: np.ndarray) -> list[np.ndarray]:
-        return [row[row > floor] for row, floor in zip(x, floors)]
+        first.append(row[row > floors[-1]])
 
     def block(i: int) -> list[np.ndarray]:
         """Block ``blocks - 1 - i``'s kept samples: the last first, so a short one joins _sweep's largest chunk."""
-        return kept(_fill_paths(spec, N_max, mc, blocks - 1 - i))
+        return [row[row > floor] for row, floor in zip(_block_rows(spec, N_max, mc, blocks - 1 - i), floors)]
 
-    cols = [kept(x)]  # block by block, then row by row; a block dies once kept
-    del x
-    cols = list(zip(*cols, *_sweep(block, blocks - 1, workers)[::-1]))
+    cols = list(zip(first, *_sweep(block, blocks - 1, workers)[::-1]))  # row by row, then block by block
+    del first
     solved = []
     while cols:  # a row's pieces are joined in block order here and let go after its scan
         solved.append(_u0_scan(np.concatenate(cols.pop(0)), S))
@@ -564,7 +575,7 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 # On-disk cache
 # ---------------------------------------------------------------------------
 
-# v2 is the Box-Muller draw of _fill_paths; a v1 table holds other samples of
+# v2 is the Box-Muller draw of _block_rows; a v1 table holds other samples of
 # the same streams (numpy's normal ziggurat), so it is refused by its tag
 _HULL_FORMAT = "riskhull-hull-v2"
 

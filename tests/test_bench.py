@@ -367,8 +367,8 @@ def _hull_sweep(monkeypatch, fail):
     # four blocks: the caller draws block 0 and three workers one each of the rest
     monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 2_500)
     if fail is not None:
-        fill = riskhull.hull._fill_paths
-        monkeypatch.setattr(riskhull.hull, "_fill_paths",
+        fill = riskhull.hull._block_rows
+        monkeypatch.setattr(riskhull.hull, "_block_rows",
                             lambda spec, N_max, mc, block: fail() if block else fill(spec, N_max, mc, block))
     build_hull_table(INV, 10, McParams(samples=10_000, seed=1), threads=3)
 

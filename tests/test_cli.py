@@ -592,9 +592,9 @@ def test_engine_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, caps
 
 def test_hull_worker_killed_exits_2_naming_threads(tmp_path, monkeypatch, capsys):
     # four blocks: the caller draws block 0, and a forked worker that draws any other dies
-    fill = riskhull.hull._fill_paths
+    fill = riskhull.hull._block_rows
     monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 5_000)
-    monkeypatch.setattr(riskhull.hull, "_fill_paths",
+    monkeypatch.setattr(riskhull.hull, "_block_rows",
                         lambda spec, N_max, mc, block: _die() if block else fill(spec, N_max, mc, block))
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
