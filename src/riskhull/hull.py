@@ -16,21 +16,22 @@ infimum is found by a single suffix-sum scan of the sorted samples.
 All sampling is coupled: one xi vector per replication serves every N
 through cumulative sums, which both saves draws and smooths U0 across N.
 That one coupled (N_max, samples) path matrix is drawn by a single block
-kernel, ``_block_rows``, in fixed-size blocks with per-block Philox
-streams, and it yields each block one finished row at a time.  The paths
+kernel, ``_block_rows``, in fixed-size blocks with one SFC64 stream per
+block, and it yields each block one finished row at a time.  The paths
 need only xi^2, and the kernel draws those two rows at a time by the
-Box-Muller transform from the streams' raw 64-bit words (format
-``riskhull-hull-v2``).  The samplers and ``compute_u0`` read rows of it
-through one row reader, ``_path_rows``, so each eta_N sample is the same
-number whichever of them asks for it.  The table build never holds the
-matrix, nor a block of it: it streams the rows and solves each N on a
-kept part of its samples, with the same result bit for bit (see
-``_scan_rows``).  Its blocks after block 0 run through ``_sweep``, a map
-of an index over forked worker processes, which the efficiency sweep of
-``riskhull.bench`` runs on too.  Tables are bit-identical for a given seed under any worker
-count, on one numpy build and CPU: ``np.log``, ``np.cos`` and ``np.sin``
-are SIMD-dispatched, so another CPU family or numpy build may change
-their last bits.
+Box-Muller transform from the streams' raw 64-bit words, with one float32
+log and one float32 cosine per pair (format ``riskhull-hull-v3``).  The
+samplers and ``compute_u0`` read rows of it through one row reader,
+``_path_rows``, so each eta_N sample is the same number whichever of them
+asks for it.  The table build never holds the matrix, nor a block of it:
+it streams the rows and solves each N on a kept part of its samples, with
+the same result bit for bit (see ``_scan_rows``).  Its blocks after block
+0 run through ``_sweep``, a map of an index over forked worker processes,
+which the efficiency sweep of ``riskhull.bench`` runs on too.  Tables are
+bit-identical for a given seed under any worker count, on one numpy
+build and CPU: the raw words are integer arithmetic, but ``np.log`` and
+``np.cos`` are SIMD-dispatched, so another CPU family or numpy build may
+change their last bits.
 
 Internally eta is accumulated in units of sigma_1^2 (weights
 sigma_i^2/sigma_1^2, threshold 1), so U0 is sigma_1^2 times a root that
@@ -57,7 +58,7 @@ from .checks import boolean, checked, freeze, list_of, nonneg, nonneg_int, obj, 
 from .sequence_model import (
     SigmaSpec,
     fingerprint,
-    rng_for,
+    rng_for,  # not called here: the benchmark's tracer (perfbench/spans.py) wraps this name
     sigma_at,
     sigma_values,
     spec_from_dict,
@@ -170,24 +171,27 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
     samples, each row made in one float32 pass: xi^2 - 1, times its weight
     (sigma_N/sigma_1)^2, plus the row before.  Block b holds the columns
     from ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them),
-    drawn from the Philox stream (mc.seed, b) in the calling thread.  The
-    rows come in order, each finished as it is yielded, from one reused
-    two-row buffer: a yielded row is a view that the row after the next
-    overwrites, so a caller reads or copies it before asking on.  A
-    spectrum whose paths could overflow float32 raises ValueError before
-    the first row is drawn.
+    drawn in the calling thread.  The rows come in order, each finished as
+    it is yielded, from one reused two-row buffer: a yielded row is a view
+    that the row after the next overwrites, so a caller reads or copies it
+    before asking on.  A spectrum whose paths could overflow float32 raises
+    ValueError before the first row is drawn.
 
     The paths use only xi^2, so the draw is Box-Muller for squares (Box &
     Muller 1958): one uniform radius and one uniform angle give two
     independent chi-square(1) values, R^2 cos^2(theta) and R^2 sin^2(theta)
-    with R^2 = -2 ln U.  Rows 2j and 2j+1 read the raw 64-bit words j*n ..
-    (j+1)*n - 1 of the block's stream, one word w per column: U =
-    (floor(w / 2^24) + 1) * 2^-40 in (0, 1], with R^2 in float64, and
-    theta = 2 pi (w mod 2^24) / 2^24, with cos and sin in float32.  For
-    an odd N_max the last pair's second row is never drawn, so the first n
-    rows do not depend on N_max >= n.  The largest value is -2 ln 2^-40
-    = 55.45: the draw truncates chi-square(2) there, which it passes with
-    probability 9e-13 per pair.
+    with R^2 = -2 ln U.  Block b's words come from
+    ``SFC64(SeedSequence(mc.seed, spawn_key=(b,)))``, drawn from its start.
+    Rows 2j and 2j+1 read its raw 64-bit words j*n .. (j+1)*n - 1, one word
+    w per column, all in float32: U = (k + 1) * 2^-40 in (0, 1] with k =
+    floor(w / 2^24), which is exact for k < 2^24, where the tail lives (k
+    and then k + 1 round to float32 above that), R^2 = -2 ln U, and theta =
+    2 pi (w mod 2^24) / 2^24.  Row 2j takes a = R^2 cos^2(theta), and row
+    2j+1 takes R^2 - a, so a pair costs one log and one cosine.  For an odd
+    N_max the last pair's second row is dropped, so the first n rows do not
+    depend on N_max >= n.  The largest value is -2 ln 2^-40 = 55.45: the
+    draw truncates chi-square(2) there, which it passes with probability
+    9e-13 per pair.
     """
     w = _norm_weights(spec, N_max)
     limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) * 55.45, the largest xi^2
@@ -196,22 +200,23 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
         raise ValueError(f"the spectrum with {shape} is too steep for N_max = {N_max}: its weights "
                          f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
-    raw = rng_for(mc.seed, block).bit_generator.random_raw
+    raw = np.random.SFC64(np.random.SeedSequence(mc.seed, spawn_key=(block,))).random_raw
     x = np.empty((2, n), dtype=np.float32)  # row j is x[j % 2], and the row before it the other one
-    r2 = np.empty(n, dtype=np.float32)
     for i in range(0, N_max, 2):
         word = raw(n)
-        theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
-        theta *= _ANGLE
-        u = (word >> 24).view(np.int64).astype(np.float64)
-        u += 1.0
-        u *= 2.0**-40
-        np.multiply(np.log(u, out=u), -2.0, out=r2)
-        for j, row, prev, trig in zip(range(i, N_max), x, x[::-1], (np.cos, np.sin)):
-            trig(theta, out=row)
-            row *= row
-            row *= r2
-            row -= np.float32(1.0)
+        a = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
+        a *= _ANGLE
+        np.cos(a, out=a)
+        a *= a
+        r2 = (word >> 24).view(np.int64).astype(np.float32)
+        r2 += np.float32(1.0)
+        r2 *= np.float32(2.0**-40)
+        np.log(r2, out=r2)
+        r2 *= np.float32(-2.0)
+        a *= r2  # R^2 cos^2(theta)
+        r2 -= a  # R^2 - a, the pair's second value
+        for j, row, prev, xi2 in zip(range(i, N_max), x, x[::-1], (a, r2)):
+            np.subtract(xi2, np.float32(1.0), out=row)
             row *= np.float32(w[j])
             if j:
                 row += prev
@@ -575,9 +580,10 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 # On-disk cache
 # ---------------------------------------------------------------------------
 
-# v2 is the Box-Muller draw of _block_rows; a v1 table holds other samples of
-# the same streams (numpy's normal ziggurat), so it is refused by its tag
-_HULL_FORMAT = "riskhull-hull-v2"
+# v3 is the float32 Box-Muller draw of _block_rows from SFC64 words.  A v2
+# table holds the float64-log draw from Philox words, and a v1 table numpy's
+# normal ziggurat on those Philox streams, so both are refused by their tags.
+_HULL_FORMAT = "riskhull-hull-v3"
 
 # The hull document: each field and the check of its JSON type.  Every
 # field but "format" and "spec" is the HullTable attribute of its name.
@@ -629,8 +635,8 @@ def load_hull_table(path) -> tuple[HullTable, SigmaSpec]:
 
     A file that is not the document :func:`save_hull_table` writes, such
     as one with a field missing, raises HullCacheError.  A document of
-    another format tag, such as a ``riskhull-hull-v1`` table drawn from
-    the old random stream, raises one that names the tag.
+    another format tag, such as a ``riskhull-hull-v2`` or ``-v1`` table
+    drawn from an older random stream, raises one that names the tag.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

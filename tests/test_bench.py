@@ -428,10 +428,10 @@ def test_engine_does_not_import_numpy_ma(cli_env):
 # ---------------------------------------------------------------------------
 
 # sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, under
-# riskhull-manifest-v7: replication r at counter offset r of the run's seed,
+# riskhull-manifest-v8: replication r at counter offset r of the run's seed,
 # as the reference loop above draws it, for every amplitude of an efficiency
-# run, the oracle curve's cumulative sums, and the hull of riskhull-hull-v2
-# (the Box-Muller draw); any change to a random stream, the selection, the
+# run, the oracle curve's cumulative sums, and the hull of riskhull-hull-v3
+# (the float32 Box-Muller draw from SFC64 words); any change to a random stream, the selection, the
 # loss or the oracle risk arithmetic moves them.
 GOLDEN_CONFIG = {
     "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
@@ -441,7 +441,7 @@ GOLDEN_CONFIG = {
 }
 GOLDEN_DIGESTS = {
     "efficiency_ure.csv": "ff7f80d7eb8c36e432f2ddcdc7ca74df66495beaa18f2f445e7c6916821211f5",
-    "efficiency_rhm.csv": "1d8e0369d35d318203352583cf2a67f349e0707f75020a7dcc3880677b22f9bc",
+    "efficiency_rhm.csv": "9de6e9da3634124e2be3aac999e75149fc2a0b552aa290b8e8c20412e694cfef",
     "stem_ure.csv": "bac450fd38755d7a2b1b478fa2ef038489921d0bebe360003eacc7d8802e5286",
     "stem_rhm.csv": "88806ebaa6394742a0318267100fdd8445ca8fcd5c440e0d6e5b84b19c283146",
 }

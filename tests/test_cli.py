@@ -228,7 +228,7 @@ def test_hull_corrupted_cache_exits_3(tmp_path, run_cli, monkeypatch, capsys, ma
 def test_hull_too_steep_for_float32_exits_2_before_any_draw(tmp_path, monkeypatch, capsys):
     # (sigma_200/sigma_1)^2 = 200^18 overflows float32; the build must say so before drawing
     calls = []
-    monkeypatch.setattr(riskhull.hull, "rng_for", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.random, "SFC64", lambda *args: calls.append(args))
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", dict(
         BASE_HULL_CFG, problem={"kind": "power-law", "epsilon": 1.0, "beta": 9.0},
@@ -242,13 +242,12 @@ def test_hull_too_steep_for_float32_exits_2_before_any_draw(tmp_path, monkeypatc
 
 def test_hull_refused_allocation_exits_2(tmp_path, monkeypatch, capsys):
     class Refuse:
-        class bit_generator:
-            @staticmethod
-            def random_raw(*args, **kwargs):
-                raise MemoryError
+        @staticmethod
+        def random_raw(*args, **kwargs):
+            raise MemoryError
 
     # every build allocates its blocks in the block kernel's draw of raw words
-    monkeypatch.setattr(riskhull.hull, "rng_for", lambda *args: Refuse())
+    monkeypatch.setattr(np.random, "SFC64", lambda *args: Refuse())
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
     assert riskhull.cli.main(["hull", "--config", cfg]) == 2
@@ -268,36 +267,40 @@ def test_hull_stale_cache_exits_3(tmp_path, run_cli):
     assert "mismatch" in res.stderr
 
 
-def test_hull_cache_of_the_old_format_exits_3_naming_it(tmp_path, monkeypatch, capsys):
-    # a riskhull-hull-v1 table was drawn from the old random stream: an explicit
-    # cache path names the tag and --rebuild, and the default path never reads it
+@pytest.mark.parametrize("tag", ["riskhull-hull-v1", "riskhull-hull-v2"], ids=["v1", "v2"])
+def test_hull_cache_of_the_old_format_exits_3_naming_it(tmp_path, monkeypatch, capsys, tag):
+    # v1 and v2 tables were drawn from older random streams: an explicit cache
+    # path names the tag and --rebuild, and the default path never reads one
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "c.json", BASE_HULL_CFG)
     assert riskhull.cli.main(["hull", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "hull.json").read_text())
-    assert doc["format"] == "riskhull-hull-v2"
-    old = json.dumps(dict(doc, format="riskhull-hull-v1"))
+    assert doc["format"] == "riskhull-hull-v3"
+    old = json.dumps(dict(doc, format=tag))
     (tmp_path / "hull.json").write_text(old)
     capsys.readouterr()
     assert riskhull.cli.main(["hull", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "'riskhull-hull-v1'" in err and "--rebuild" in err and "corrupted" not in err
+    assert f"'{tag}'" in err and "--rebuild" in err and "corrupted" not in err
     assert (tmp_path / "hull.json").read_text() == old
     assert riskhull.cli.main(["hull", "--config", cfg, "--rebuild"]) == 0
-    assert json.loads((tmp_path / "hull.json").read_text())["format"] == "riskhull-hull-v2"
+    assert json.loads((tmp_path / "hull.json").read_text())["format"] == "riskhull-hull-v3"
 
-    # the default file of the v1 layout, keyed by the parameters alone
+    # the default file of the old layout: keyed by the parameters alone in v1,
+    # and by the v2 tag and the parameters in v2
     hull = dict(BASE_HULL_CFG["hull"])
     del hull["cache"]
     cfg = write_config(tmp_path / "d.json", dict(BASE_HULL_CFG, hull=hull))
     key = (fingerprint(unit_spec(SigmaSpec.power_law(1.0, 1.0))), 12, 20000, 7, True)
+    if tag != "riskhull-hull-v1":
+        key = (tag, *key)
     v1 = tmp_path / "out" / f"hull_{hashlib.sha256('|'.join(map(str, key)).encode()).hexdigest()[:16]}.json"
     v1.write_text(old)
     capsys.readouterr()
     assert riskhull.cli.main(["hull", "--config", cfg]) == 0
     assert capsys.readouterr().out.startswith("hull built: ")
     assert v1.read_text() == old
-    assert len(list(v1.parent.glob("hull_*.json"))) == 2  # the v1 file and the new one
+    assert len(list(v1.parent.glob("hull_*.json"))) == 2  # the old file and the new one
 
 
 def _half_noise_cfg(hull):
@@ -476,7 +479,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v7"
+    assert manifest["format"] == "riskhull-manifest-v8"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}

@@ -133,10 +133,18 @@ def test_block_kernel_draws_chi_square_one():
         assert abs(np.corrcoef(xi2[2 * j], xi2[2 * j + 1])[0, 1]) <= 4 / math.sqrt(xi2.shape[1]), j
 
 
+def _block_words(mc, block, pairs, n):
+    """The raw words of one block's pairs, one row of n per pair."""
+    bits = np.random.SFC64(np.random.SeedSequence(mc.seed, spawn_key=(block,)))
+    return bits.random_raw(pairs * n).reshape(pairs, n)
+
+
 def test_block_kernel_reads_one_raw_word_per_pair_column():
-    # pair j of block b is Box-Muller on words j*n .. (j+1)*n - 1 of the block's stream
+    # pair j of block b is Box-Muller on words j*n .. (j+1)*n - 1 of the block's
+    # SFC64 stream, here in float64: the kernel's float32 log, cosine and R^2 - a
+    # stay within the float32 tolerances of this float64 form
     mc, n = McParams(samples=10 * 65_536, seed=11), 65_536
-    words = riskhull.hull.rng_for(mc.seed, 2).bit_generator.random_raw(3 * n).reshape(3, n)
+    words = _block_words(mc, 2, 3, n)
     r2 = -2.0 * np.log(((words >> 24) + 1) * 2.0**-40)
     theta = 2 * np.pi * (words & 0xFFFFFF) / 2**24
     want = np.stack([r2 * np.cos(theta) ** 2, r2 * np.sin(theta) ** 2], axis=1).reshape(6, n)[:5]
@@ -151,25 +159,19 @@ def test_block_kernel_rows_do_not_depend_on_n_max():
 
 
 def _three_pass_block(spec, N_max, mc, block):
-    """The block kernel in three passes: draw every row pair, centre and weight the whole block, then
-    cumulate row by row.  Each pair's temporaries have the kernel's shapes, so numpy runs the same
-    SIMD kernels on them."""
+    """The block kernel in three passes over the whole block, in float32: draw every row pair at once,
+    centre and weight the whole block, then cumulate row by row."""
     n = min(65_536, mc.samples - block * 65_536)
-    raw = riskhull.hull.rng_for(mc.seed, block).bit_generator.random_raw
-    x = np.empty((N_max, n), dtype=np.float32)
-    r2 = np.empty(n, dtype=np.float32)
-    for i in range(0, N_max, 2):
-        word = raw(n)
-        theta = (word & 0xFFFFFF).view(np.int64).astype(np.float32)
-        theta *= riskhull.hull._ANGLE
-        u = (word >> 24).view(np.int64).astype(np.float64)
-        u += 1.0
-        u *= 2.0**-40
-        np.multiply(np.log(u, out=u), -2.0, out=r2)
-        for row, trig in zip(x[i:i + 2], (np.cos, np.sin)):
-            trig(theta, out=row)
-            row *= row
-            row *= r2
+    words = _block_words(mc, block, -(-N_max // 2), n)
+    a = (words & 0xFFFFFF).view(np.int64).astype(np.float32)
+    a *= riskhull.hull._ANGLE
+    a = np.cos(a) ** 2
+    r2 = (words >> 24).view(np.int64).astype(np.float32)
+    r2 += np.float32(1.0)
+    r2 *= np.float32(2.0**-40)
+    r2 = np.log(r2) * np.float32(-2.0)
+    a *= r2
+    x = np.stack([a, r2 - a], axis=1).reshape(-1, n)[:N_max]  # rows 2j and 2j+1 from pair j
     x -= np.float32(1.0)
     x *= (sigma_values(unit_spec(spec), N_max) ** 2).astype(np.float32)[:, None]
     for i in range(1, N_max):
@@ -179,7 +181,8 @@ def _three_pass_block(spec, N_max, mc, block):
 
 @pytest.mark.parametrize("spec", [B0, B1, B2], ids=["beta0", "beta1", "beta2"])
 def test_block_kernel_matches_the_three_pass_kernel_bit_for_bit(spec):
-    # one pass per row makes the same float32 operations on every element in the same order
+    # drawing, centring, weighting and cumulating one row at a time makes the
+    # same float32 operations on every element, in the same order
     mc = McParams(samples=70_000, seed=4)
     for N_max in (7, 8):
         for b in (0, 1):  # a full block and the short last one
@@ -362,12 +365,12 @@ def test_u0_quadratic_scaling_exact_power_of_two(j):
 
 def test_u0_seed_stability_golden():
     # Two independent seeds agree within Monte Carlo tolerance; values frozen
-    # from the Box-Muller draw of riskhull-hull-v2 (the exact root is 1231.39).
+    # from the float32 Box-Muller draw of riskhull-hull-v3 (the exact root is 1231.39).
     a = compute_u0(B1, 10, McParams(samples=1_000_000, seed=101))
     b = compute_u0(B1, 10, McParams(samples=1_000_000, seed=202))
     assert abs(a / b - 1.0) < 0.02
-    assert a == pytest.approx(1241.1438, rel=1e-4)
-    assert b == pytest.approx(1222.9788, rel=1e-4)
+    assert a == pytest.approx(1234.0442, rel=1e-4)
+    assert b == pytest.approx(1227.1002, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +471,16 @@ def _routed_build(monkeypatch, spec, N_max, mc, threads):
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
 def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed):
     # Seven blocks, so four workers share them; the forced routes floor
-    # every row with a positive crossing on block 0 at its max(11, m+2)-th
-    # largest sample there, which leaves some of them to be redone.
+    # every row on block 0 at its max(11, m + 2 - 2 isqrt(m + 1))-th largest
+    # sample there, above its crossing there wherever m > 10, so that whatever
+    # the draw some rows are redone.
     monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 16_384)
     spec, N_max = SigmaSpec.power_law(1.0, beta), 30
     mc = McParams(samples=100_000, seed=seed, monotonize=monotonize)
     u0, saturated, paths = _full_matrix_table(spec, N_max, mc)
     positives = (paths > 0).sum(axis=1).tolist()
     routes = []
-    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, 0)):
+    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, -1)):
         monkeypatch.setattr(riskhull.hull, "_TOP_K", top_k)
         monkeypatch.setattr(riskhull.hull, "_MARGIN", margin)
         kept = _kept_sizes(paths, mc)
