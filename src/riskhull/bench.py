@@ -7,8 +7,13 @@ Philox stream of s: the key of ``rng_for(s)`` with the counter at
 ``riskhull.sequence_model``).  Every selector of a run, and every
 amplitude of an efficiency curve, reads rows 0..reps-1 of s: common
 random numbers, as the noise does not depend on the amplitude.  Results
-are reproducible bit for bit and independent of scheduling.  Means and
-standard errors use numpy's pairwise summation on arrays in row order.
+are reproducible bit for bit and independent of scheduling.
+
+The engine returns two arrays, both shaped (signals, selectors,
+replications): the selected bandwidths (int64) and the squared losses
+(float64).  Every experiment reduces them over the last axis.  Means and
+standard errors are numpy's pairwise sums along that contiguous axis, in
+row order, the same sums as on each 1-D row.
 
 Replications run in blocks of 64 rows (``_REP_BLOCK``): one
 ``normal_rows`` call, which hashes the key once, fills one matrix with a
@@ -104,7 +109,7 @@ def default_a_grid(num: int = 20, lo: float = 0.5, hi: float = 500.0) -> np.ndar
 
 
 def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[Selector],
-               rows: range, n_max: int, seed: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+               rows: range, n_max: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Selected bandwidths and squared losses of every signal and selector on stream rows ``rows``.
 
     Row r is ``make_observation(spec, signal, xi)`` of the noise xi that
@@ -113,13 +118,15 @@ def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[S
     one ``ure_energy`` matrix per signal over the largest N_max.  The
     loss of a row is ``squared_loss(project(obs, N), signal)`` bit for
     bit: its terms are summed over a slice of length ``max(N,
-    len(signal))``.  Indexed [signal][selector].
+    len(signal))``.  Returns ``(picked, losses)``, int64 and float64, both
+    shaped (signals, selectors, rows).
     """
     sig = sigma_values(spec, n_max)
     sig2 = sig[:max((sel.N_max for sel in selectors), default=0)] ** 2
     noise = sig * normal_rows(seed, rows.start, n_max, np.empty((len(rows), n_max)))
-    out = []
-    for signal in signals:
+    shape = (len(signals), len(selectors), len(rows))
+    picked, losses = np.empty(shape, dtype=np.int64), np.empty(shape)
+    for signal, picked_by, losses_by in zip(signals, picked, losses):
         L = len(signal)
         width = max(n_max, L)  # a signal longer than n_max adds its tail to every loss
         theta = signal.padded(width)
@@ -131,40 +138,36 @@ def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[S
         resid2 = np.zeros((len(rows), width))
         resid2[:, :n_max] = (Y - kept) ** 2
         energy = ure_energy(Y[:, :sig2.size], sig2)
-        runs = []
-        for sel in selectors:
-            N = sel.pick(energy)
+        for sel, N, loss in zip(selectors, picked_by, losses_by):
+            N[:] = sel.pick(energy)
             sq = np.where(np.arange(width) < N[:, None], resid2, theta**2)
             n = np.maximum(N, L)
-            losses = np.empty(len(rows))
             for k in np.flatnonzero(np.bincount(n)):
                 hit = n == k
-                losses[hit] = sq[hit, :k].sum(axis=1)
-            runs.append((N, losses))
-        out.append(runs)
-    return out
+                loss[hit] = sq[hit, :k].sum(axis=1)
+    return picked, losses
 
 
 def _replications(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[Selector],
-                  reps: int, n_max: int, seed: int,
-                  workers: int = 1) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+                  reps: int, n_max: int, seed: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_replicate` over rows 0..reps-1, block by block on up to ``workers`` processes.
 
     ``reps`` and every selector are checked against ``spec`` and
     ``n_max`` before the first draw; the blocks' arrays are joined in row
-    order, so the result does not depend on ``workers``.
+    order, so the result, shaped (signals, selectors, reps), does not
+    depend on ``workers``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for sel in selectors:
         sel.check(spec, n_max)
 
-    def block(b: int) -> list:
+    def block(b: int) -> tuple[np.ndarray, np.ndarray]:
         return _replicate(spec, signals, selectors, range(b * _REP_BLOCK, min(reps, (b + 1) * _REP_BLOCK)),
                           n_max, seed)
 
-    blocks = _sweep(block, -(-reps // _REP_BLOCK), workers)  # [block][signal][selector]
-    return [[tuple(map(np.concatenate, zip(*runs))) for runs in zip(*per_signal)] for per_signal in zip(*blocks)]
+    picked, losses = zip(*_sweep(block, -(-reps // _REP_BLOCK), workers))
+    return np.concatenate(picked, axis=2), np.concatenate(losses, axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +191,10 @@ class StemData:
 def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Selector],
                      reps: int, n_max: int, seed: int) -> list[StemData]:
     """Replicated selection diagnostic of each selector, all on one set of draws."""
-    [runs] = _replications(spec, [signal], selectors, reps, n_max, seed)
-    sigma1_sq = sigma_at(spec, 1) ** 2
-    stems = []
-    for selected, losses in runs:
-        normalized = losses / sigma1_sq
-        stems.append(StemData(
-            selected_N=selected,
-            normalized_loss=normalized,
-            N_emp=float(np.mean(selected)),
-            R_emp=float(np.mean(normalized)),
-        ))
-    return stems
+    [picked], [losses] = _replications(spec, [signal], selectors, reps, n_max, seed)
+    normalized = losses / sigma_at(spec, 1) ** 2
+    return [StemData(selected_N=N, normalized_loss=loss, N_emp=float(np.mean(N)), R_emp=float(np.mean(loss)))
+            for N, loss in zip(picked, normalized)]
 
 
 def stem_experiment(spec: SigmaSpec, signal: Signal, selector: Selector,
@@ -213,8 +208,9 @@ def mc_selector_risk(spec: SigmaSpec, signal: Signal, selector: Selector,
                      reps: int, n_max: int, seed: int) -> tuple[float, float]:
     """Mean squared loss of a selector and its Monte Carlo standard error."""
     _check_se_reps(reps)
-    [[(_, losses)]] = _replications(spec, [signal], [selector], reps, n_max, seed)
-    return _mean_se(losses)
+    _, [[losses]] = _replications(spec, [signal], [selector], reps, n_max, seed)
+    mean, se = _mean_se(losses)
+    return float(mean), float(se)
 
 
 def _check_se_reps(reps: int) -> None:
@@ -222,11 +218,9 @@ def _check_se_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= 2 for a standard error, got {reps}")
 
 
-def _mean_se(losses: np.ndarray) -> tuple[float, float]:
-    """Mean of the losses and its Monte Carlo standard error."""
-    mean = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / np.sqrt(losses.size))
-    return mean, se
+def _mean_se(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the losses over the last axis and their Monte Carlo standard errors."""
+    return np.mean(losses, axis=-1), np.std(losses, axis=-1, ddof=1) / np.sqrt(losses.shape[-1])
 
 
 def oracle_efficiency(spec: SigmaSpec, signal: Signal, selector: Selector,
@@ -305,13 +299,14 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
     signals = [signal_family(float(a), W, m, 1.0, n_max) for a in a_grid]
     oracles = [oracle_risk(sig, uspec, n_max) for sig in signals]
     best = [curve.min_value for curve in oracles]
-    runs = _replications(uspec, signals, selectors, reps, n_max, seed, workers)  # [amplitude][selector]
-    stats = [[_mean_se(losses) for _, losses in column] for column in zip(*runs)]  # [selector][amplitude]
-    return [EfficiencyCurve(a_grid=a_grid, efficiency=[b / mean for b, (mean, _) in zip(best, column)],
-                            std_error=[b * se / mean**2 for b, (mean, se) in zip(best, column)],
+    _, losses = _replications(uspec, signals, selectors, reps, n_max, seed, workers)
+    means, ses = (stat.T.tolist() for stat in _mean_se(losses))  # [selector][amplitude], Python floats
+    # mean**2 is a float's pow, as numpy's array power may round it otherwise
+    return [EfficiencyCurve(a_grid=a_grid, efficiency=[b / m for b, m in zip(best, mean)],
+                            std_error=[b * s / m**2 for b, m, s in zip(best, mean, se)],
                             oracle_N=[curve.argmin_N for curve in oracles], oracle_risk=best,
                             method=method, reps=reps)
-            for method, column in zip(methods, stats)]
+            for method, mean, se in zip(methods, means, ses)]
 
 
 def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,
