@@ -169,13 +169,16 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
 
     This is the one block kernel.  Row N-1 holds the cumulative eta_N
     samples, each row made in one float32 pass: xi^2 - 1, times its weight
-    (sigma_N/sigma_1)^2, plus the row before.  Block b holds the columns
-    from ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of them),
-    drawn in the calling thread.  The rows come in order, each finished as
-    it is yielded, from one reused two-row buffer: a yielded row is a view
-    that the row after the next overwrites, so a caller reads or copies it
-    before asking on.  A spectrum whose paths could overflow float32 raises
-    ValueError before the first row is drawn.
+    (sigma_N/sigma_1)^2, plus the row before.  The kernel holds y =
+    -xi^2 / 2 and makes the row as (y + 1/2) * (-2 w) plus the row
+    before, the same bit for bit, as scaling by -2 commutes with float32
+    rounding (no value here overflows or is subnormal).  Block b holds the
+    columns from ``b * _SAMPLE_BLOCK`` on (at most ``_SAMPLE_BLOCK`` of
+    them), drawn in the calling thread.  The rows come in order, each
+    finished as it is yielded, from one reused two-row buffer: a yielded
+    row is a view that the row after the next overwrites, so a caller
+    reads or copies it before asking on.  A spectrum whose paths could
+    overflow float32 raises ValueError before the first row is drawn.
 
     The paths use only xi^2, so the draw is Box-Muller for squares (Box &
     Muller 1958): one uniform radius and one uniform angle give two
@@ -187,11 +190,11 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
     floor(w / 2^24), which is exact for k < 2^24, where the tail lives (k
     and then k + 1 round to float32 above that), R^2 = -2 ln U, and theta =
     2 pi (w mod 2^24) / 2^24.  Row 2j takes a = R^2 cos^2(theta), and row
-    2j+1 takes R^2 - a, so a pair costs one log and one cosine.  For an odd
-    N_max the last pair's second row is dropped, so the first n rows do not
-    depend on N_max >= n.  The largest value is -2 ln 2^-40 = 55.45: the
-    draw truncates chi-square(2) there, which it passes with probability
-    9e-13 per pair.
+    2j+1 takes R^2 - a, so a pair costs one log and one cosine.  For an
+    odd N_max the last pair's second row is dropped, so the first n rows do
+    not depend on N_max >= n.  The largest value is -2 ln 2^-40 = 55.45:
+    the draw truncates chi-square(2) there, which it passes with
+    probability 9e-13 per pair.
     """
     w = _norm_weights(spec, N_max)
     limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) * 55.45, the largest xi^2
@@ -199,6 +202,7 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
         shape = "this explicit sigma table" if spec.beta is None else f"beta = {spec.beta}"
         raise ValueError(f"the spectrum with {shape} is too steep for N_max = {N_max}: its weights "
                          f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
+    w2 = w.astype(np.float32) * np.float32(-2.0)  # each weight times Box-Muller's -2
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
     raw = np.random.SFC64(np.random.SeedSequence(mc.seed, spawn_key=(block,))).random_raw
     x = np.empty((2, n), dtype=np.float32)  # row j is x[j % 2], and the row before it the other one
@@ -208,16 +212,15 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
         a *= _ANGLE
         np.cos(a, out=a)
         a *= a
-        r2 = (word >> 24).view(np.int64).astype(np.float32)
-        r2 += np.float32(1.0)
-        r2 *= np.float32(2.0**-40)
-        np.log(r2, out=r2)
-        r2 *= np.float32(-2.0)
-        a *= r2  # R^2 cos^2(theta)
-        r2 -= a  # R^2 - a, the pair's second value
-        for j, row, prev, xi2 in zip(range(i, N_max), x, x[::-1], (a, r2)):
-            np.subtract(xi2, np.float32(1.0), out=row)
-            row *= np.float32(w[j])
+        u = (word >> 24).view(np.int64).astype(np.float32)
+        u += np.float32(1.0)
+        u *= np.float32(2.0**-40)
+        np.log(u, out=u)  # ln U = -R^2 / 2
+        a *= u  # cos^2(theta) ln U: the pair's first value over -2
+        u -= a  # ln U - a: the pair's second value over -2
+        for j, row, prev, y in zip(range(i, N_max), x, x[::-1], (a, u)):
+            np.add(y, np.float32(0.5), out=row)
+            row *= w2[j]
             if j:
                 row += prev
             yield row
@@ -331,7 +334,8 @@ def _run_chunk(run, indices: range, write: int) -> None:
 def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[tuple[float, bool]]:
     """:func:`_u0_scan` of every whole row, from rows drawn one at a time.
 
-    The path matrix never exists whole, nor does a block of it: the caller
+    The path matrix never exists whole, nor does a block of it.  With one
+    block, each row is solved as it is yielded.  Otherwise the caller
     draws the rows of block 0 from :func:`_block_rows`, and :func:`_sweep`
     maps the other blocks, last first, on up to ``workers`` processes.
     Each row keeps of every block only its samples above the row's floor,
@@ -343,22 +347,33 @@ def _scan_rows(spec: SigmaSpec, N_max: int, mc: McParams, workers: int) -> list[
     that count below the crossing, and at least about ``_TOP_K`` samples
     kept.  Where r runs past the positive samples, as when block 0 crosses
     at 0, the floor is 0 and the row keeps every positive sample, all that
-    the scan reads.  Each row's pieces are joined in block order, so the
-    result does not depend on ``workers``.  The kept samples are the top
-    of the sorted row and the scan's sums add from the largest down, so
-    they round as on the whole row, and the root is the same whenever it
-    lies above the floor: a positive root, a saturated one, or any root
-    with floor 0.  A row that fails this, a positive floor and a root of
-    0, is read again whole through :func:`_path_rows` in the calling
-    process (the redo).
+    the scan reads.  m and r come from the row's top 2 (r' + 1) samples,
+    taken by ``np.partition``, with r' the row before's r: their sorted
+    values and float64 sums are the full sort's first ones.  Where that
+    prefix does not hold both m and r, the whole row is sorted; the first
+    row, and any whose prefix would be a quarter of n0 or more, go
+    straight to the whole sort.  Each row's pieces are joined in block
+    order, so the result does not depend on ``workers``.  The kept samples
+    are the top of the sorted row and the scan's sums add from the largest
+    down, so they round as on the whole row, and the root is the same
+    whenever it lies above the floor: a positive root, a saturated one, or
+    any root with floor 0.  A row that fails this, a positive floor and a
+    root of 0, is read again whole through :func:`_path_rows` in the
+    calling process (the redo).
     """
     S, blocks = mc.samples, _n_blocks(mc)
-    n0 = min(_SAMPLE_BLOCK, S)
+    if blocks == 1:  # block 0 is the whole row
+        return [_u0_scan(row, S) for row in _block_rows(spec, N_max, mc, 0)]
+    n0 = _SAMPLE_BLOCK
     rank = _TOP_K * n0 // S
-    floors, first = [], []
+    floors, first, r = [], [], n0
     for row in _block_rows(spec, N_max, mc, 0):
-        top, m = _crossing(row, n0)
-        r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
+        k = 2 * (r + 1)  # the rows are cumulative sums, so r moves little from one row to the next
+        for col in (np.partition(row, n0 - k)[n0 - k:], row) if 4 * k < n0 else (row,):
+            top, m = _crossing(col, n0)
+            r = max(rank, m + 1 + 2 * _MARGIN * math.isqrt(m + 1))
+            if max(m, r) < top.size:
+                break
         floors.append(top[r] if r < top.size else 0)
         first.append(row[row > floors[-1]])
 
@@ -433,8 +448,8 @@ def tail_functional(samples, t: float) -> float:
 
 
 def _crossing(col: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
-    """The one sort and crossing search of a row: its positive samples ``top``, descending, and how
-    many of them have a running sum over ``n_samples``, in float64 from the largest down, <= 1."""
+    """The one sort and crossing search of a row, or of its top: its positive samples ``top``, descending,
+    and how many of them have a running sum over ``n_samples``, in float64 from the largest down, <= 1."""
     top = np.sort(col[col > 0])[::-1]
     return top, int(np.searchsorted(np.cumsum(top, dtype=np.float64) / n_samples, 1.0, side="right"))
 

@@ -456,45 +456,62 @@ def _kept_sizes(paths, mc):
 
 
 def _routed_build(monkeypatch, spec, N_max, mc, threads):
-    """build_hull_table and the size of each column it scanned: one per row,
-    in row order, then the whole row of each redone one."""
-    sizes = []
-    scan = riskhull.hull._u0_scan
+    """build_hull_table, the size of each column it scanned (one per row, in
+    row order, then the whole row of each redone one), and how many rows of
+    block 0 fell back from their prefix to the whole sort: the calls of
+    `_crossing` in this process before the first scan, less one per row."""
+    sizes, calls = [], []
+    scan, crossing = riskhull.hull._u0_scan, riskhull.hull._crossing
     monkeypatch.setattr(riskhull.hull, "_u0_scan", lambda col, n: (sizes.append(col.size), scan(col, n))[1])
+    monkeypatch.setattr(riskhull.hull, "_crossing", lambda col, n: (calls.append(len(sizes)), crossing(col, n))[1])
     table = build_hull_table(spec, N_max, mc, threads=threads)
     monkeypatch.setattr(riskhull.hull, "_u0_scan", scan)
-    return table, sizes
+    monkeypatch.setattr(riskhull.hull, "_crossing", crossing)
+    return table, sizes, max(calls.count(0) - N_max, 0)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed, samples, block", [
+    pytest.param(1, 100_000, 16_384, id="1"),  # seven blocks, so four workers share them
+    pytest.param(2, 100_000, 16_384, id="2"),
+    pytest.param(1, 10_000, None, id="S10000"),  # one block
+    pytest.param(1, 65_536, None, id="S65536"),
+    pytest.param(1, 150_000, None, id="S150000"),  # three blocks of the default size
+])
 @pytest.mark.parametrize("monotonize", [True, False])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
-def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed):
-    # Seven blocks, so four workers share them; the forced routes floor
-    # every row on block 0 at its max(11, m + 2 - 2 isqrt(m + 1))-th largest
-    # sample there, above its crossing there wherever m > 10, so that whatever
-    # the draw some rows are redone.
-    monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", 16_384)
+def test_streamed_build_equals_full_matrix_scan(monkeypatch, beta, monotonize, seed, samples, block):
+    # The first forced route floors every row on block 0 at its
+    # max(R, m + 2 - 2 isqrt(m + 1))-th largest sample there, above its
+    # crossing there wherever m > R, so that whatever the draw some rows are
+    # redone.  The second floors every row at block 0's largest sample, and
+    # each row's prefix there is its top 2 samples, so nearly every row falls
+    # back to the whole sort.  A one-block build scans each whole row once.
+    if block:
+        monkeypatch.setattr(riskhull.hull, "_SAMPLE_BLOCK", block)
     spec, N_max = SigmaSpec.power_law(1.0, beta), 30
-    mc = McParams(samples=100_000, seed=seed, monotonize=monotonize)
+    mc = McParams(samples=samples, seed=seed, monotonize=monotonize)
+    one_block = samples <= riskhull.hull._SAMPLE_BLOCK
     u0, saturated, paths = _full_matrix_table(spec, N_max, mc)
     positives = (paths > 0).sum(axis=1).tolist()
     routes = []
-    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, -1)):
+    for top_k, margin in ((riskhull.hull._TOP_K, riskhull.hull._MARGIN), (64, -1), (1, -10**6)):
         monkeypatch.setattr(riskhull.hull, "_TOP_K", top_k)
         monkeypatch.setattr(riskhull.hull, "_MARGIN", margin)
-        kept = _kept_sizes(paths, mc)
+        kept = [samples] * N_max if one_block else _kept_sizes(paths, mc)
         floored = sum(size < pos for size, pos in zip(kept, positives))
         for threads in (1, 4):
-            table, sizes = _routed_build(monkeypatch, spec, N_max, mc, threads)
+            table, sizes, fallbacks = _routed_build(monkeypatch, spec, N_max, mc, threads)
             assert np.array_equal(table.U0, u0), (top_k, threads)
             assert table.saturated == saturated, (top_k, threads)
             assert sizes[:N_max] == kept, (top_k, threads)
-            routes.append((N_max - floored, floored, len(sizes) - N_max))
-    default, default4, forced, forced4 = routes  # (unfloored, floored, redone) rows
-    assert default == default4 and forced == forced4
-    assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: floor 0
-    assert default[1] > 0 and forced[2] > 0
+            routes.append((N_max - floored, floored, len(sizes) - N_max, fallbacks))
+    default, default4, forced, forced4, fallback, fallback4 = routes  # (unfloored, floored, redone, fallen back)
+    assert default == default4 and forced == forced4 and fallback == fallback4
+    if one_block:
+        assert default == forced == fallback == (N_max, 0, 0, 0)
+    else:
+        assert default[0] >= 1 and default[2] == 0  # N = 1 crosses at 0: floor 0
+        assert default[1] > 0 and forced[2] > 0 and fallback[3] > 0
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
