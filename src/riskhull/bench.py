@@ -11,9 +11,10 @@ are reproducible bit for bit and independent of scheduling.
 
 The engine returns two arrays, both shaped (signals, selectors,
 replications): the selected bandwidths (int64) and the squared losses
-(float64).  Every experiment reduces them over the last axis.  Means and
-standard errors are numpy's pairwise sums along that contiguous axis, in
-row order, the same sums as on each 1-D row.
+(float64).  Every experiment reduces them over the last axis with
+numpy's pairwise sums, the same sums as on each 1-D row.  Each square in
+an output, sigma_1^2 and the squared mean in ``std_error``, is a product
+``x * x``, never a float's ``**``, which calls libm ``pow``.
 
 Replications run in blocks of 64 rows (``_REP_BLOCK``): one
 ``normal_rows`` call, which hashes the key once, fills one matrix with a
@@ -192,7 +193,7 @@ def stem_experiments(spec: SigmaSpec, signal: Signal, selectors: Sequence[Select
                      reps: int, n_max: int, seed: int) -> list[StemData]:
     """Replicated selection diagnostic of each selector, all on one set of draws."""
     [picked], [losses] = _replications(spec, [signal], selectors, reps, n_max, seed)
-    normalized = losses / sigma_at(spec, 1) ** 2
+    normalized = losses / np.square(sigma_at(spec, 1))
     return [StemData(selected_N=N, normalized_loss=loss, N_emp=float(np.mean(N)), R_emp=float(np.mean(loss)))
             for N, loss in zip(picked, normalized)]
 
@@ -298,15 +299,14 @@ def efficiency_curves(spec: SigmaSpec, methods: Sequence[str], a_grid, W: float,
     _check_se_reps(reps)
     signals = [signal_family(float(a), W, m, 1.0, n_max) for a in a_grid]
     oracles = [oracle_risk(sig, uspec, n_max) for sig in signals]
-    best = [curve.min_value for curve in oracles]
+    best = np.array([curve.min_value for curve in oracles])[:, None]
     _, losses = _replications(uspec, signals, selectors, reps, n_max, seed, workers)
-    means, ses = (stat.T.tolist() for stat in _mean_se(losses))  # [selector][amplitude], Python floats
-    # mean**2 is a float's pow, as numpy's array power may round it otherwise
-    return [EfficiencyCurve(a_grid=a_grid, efficiency=[b / m for b, m in zip(best, mean)],
-                            std_error=[b * s / m**2 for b, m, s in zip(best, mean, se)],
+    mean, se = _mean_se(losses)  # (amplitudes, selectors)
+    efficiency, std_error = best / mean, best * se / (mean * mean)
+    return [EfficiencyCurve(a_grid=a_grid, efficiency=eff, std_error=err,
                             oracle_N=[curve.argmin_N for curve in oracles], oracle_risk=best,
                             method=method, reps=reps)
-            for method, mean, se in zip(methods, means, ses)]
+            for method, eff, err in zip(methods, efficiency.T, std_error.T)]
 
 
 def efficiency_curve(spec: SigmaSpec, method: str, a_grid, W: float, m: float,

@@ -298,7 +298,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v8",
+        "format": "riskhull-manifest-v9",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,

@@ -404,8 +404,7 @@ def eta_paths_from_noise(spec: SigmaSpec, xi: np.ndarray) -> np.ndarray:
         raise ValueError(f"xi must be a (samples, N) matrix, got shape {xi.shape}")
     n = xi.shape[1]
     w = _norm_weights(spec, n)[None, :]
-    sigma1_sq = sigma_at(spec, 1) ** 2
-    return sigma1_sq * np.cumsum(w * (xi**2 - 1.0), axis=1)
+    return np.square(sigma_at(spec, 1)) * np.cumsum(w * (xi**2 - 1.0), axis=1)
 
 
 def sample_eta_paths(spec: SigmaSpec, N_max: int, mc: McParams) -> np.ndarray:
@@ -431,7 +430,7 @@ def eta_checkpoint_samples(spec: SigmaSpec, Ns, mc: McParams) -> np.ndarray:
     exactly, while holding only the requested rows in memory.
     """
     Ns = sorted(int(n) for n in Ns)
-    return (sigma_at(spec, 1) ** 2) * _path_rows(spec, Ns, mc).astype(np.float64)
+    return np.square(sigma_at(spec, 1)) * _path_rows(spec, Ns, mc).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def compute_u0(spec: SigmaSpec, N: int, mc: McParams) -> float:
     below the threshold.
     """
     t_norm, _ = _u0_scan(_path_rows(spec, [N], mc)[0], mc.samples)
-    return (sigma_at(spec, 1) ** 2) * t_norm
+    return float(np.square(sigma_at(spec, 1)) * t_norm)
 
 
 def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1) -> HullTable:
@@ -514,14 +513,14 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
 def hull_table_for(unit: HullTable, spec: SigmaSpec) -> HullTable:
     """The table of ``spec`` from the table of its shape ``unit_spec(spec)``.
 
-    U0 is multiplied by sigma_1^2 (the one place a table is scaled),
-    ``SigmaFourth`` is recomputed from ``spec`` and the fingerprint is
-    that of ``spec``; the Monte Carlo provenance is kept.
+    U0 is multiplied by the product sigma_1 * sigma_1 (the one place a
+    table is scaled), ``SigmaFourth`` is recomputed from ``spec`` and the
+    fingerprint is that of ``spec``; the Monte Carlo provenance is kept.
     """
     check_hull_spec(unit, unit_spec(spec), "unit_spec(spec)")
     return dataclasses.replace(
         unit,
-        U0=(sigma_at(spec, 1) ** 2) * unit.U0,
+        U0=np.square(sigma_at(spec, 1)) * unit.U0,
         SigmaFourth=np.cumsum(sigma_values(spec, unit.N_max) ** 4),
         spec_fingerprint=fingerprint(spec),
     )
@@ -551,7 +550,7 @@ def gaussian_u0(spec: SigmaSpec, N: int) -> float:
     than its Gaussian approximation.
     """
     s_n = _sigma_fourth_sum(spec, N)
-    arg = s_n / (math.pi * sigma_at(spec, 1) ** 4)
+    arg = s_n / (math.pi * float(np.square(np.square(sigma_at(spec, 1)))))
     if arg <= 1.0:
         return 0.0
     return math.sqrt(2.0 * s_n * math.log(arg))
@@ -563,7 +562,7 @@ def u1(spec: SigmaSpec, N: int) -> float:
     Compares against u0(N) = U0(N)/sqrt(2*S_N); for all large enough N
     the normalized penalty stays above this envelope.
     """
-    arg = _sigma_fourth_sum(spec, N) / (2.0 * math.pi * sigma_at(spec, 1) ** 4)
+    arg = _sigma_fourth_sum(spec, N) / (2.0 * math.pi * float(np.square(np.square(sigma_at(spec, 1)))))
     if arg <= 1.0:
         return 0.0
     return math.sqrt(math.log(arg))

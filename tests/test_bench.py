@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,31 @@ def test_efficiency_curves_match_single_method_calls(unit_hull_b1):
         assert curve.reps == alone.reps
         for field in ("a_grid", "efficiency", "std_error", "oracle_N", "oracle_risk"):
             assert np.array_equal(getattr(curve, field), getattr(alone, field)), field
+
+
+# glibc's pow, which a float's ** calls, rounds this value's square away from
+# the correctly rounded product x * x; every square in an output is the product
+POW_MISROUNDS = float.fromhex("0x1.0b99663f450d4p+3")
+
+
+def test_efficiency_std_error_squares_the_mean_as_a_product(monkeypatch):
+    m = POW_MISROUNDS
+    row = [m - 3 * math.ulp(m), m + 3 * math.ulp(m)]  # mean m, exactly
+    losses = np.array([[row], [row]])  # (amplitudes, selectors, reps)
+    monkeypatch.setattr(riskhull.bench, "_replications", lambda *args: (np.zeros(losses.shape, np.int64), losses))
+    [curve] = efficiency_curves(INV, ("ure",), [0.5, 5.0], 6.0, 6.0, 2, 40, seed=1)
+    assert np.mean(row) == m
+    se = np.std(row, ddof=1) / np.sqrt(2)
+    assert curve.efficiency.tolist() == [b / m for b in curve.oracle_risk]
+    assert curve.std_error.tolist() == [b * se / (m * m) for b in curve.oracle_risk]
+
+
+def test_stem_normalizes_by_sigma_1_times_sigma_1():
+    eps = POW_MISROUNDS
+    spec, sel = SigmaSpec.power_law(eps, 1.0), ure_selector(40)
+    _, [[losses]] = riskhull.bench._replications(spec, [ZERO_SIGNAL], [sel], 200, 40, 3)
+    [stem] = stem_experiments(spec, ZERO_SIGNAL, [sel], 200, 40, 3)
+    assert np.array_equal(stem.normalized_loss, losses / (eps * eps))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +454,13 @@ def test_engine_does_not_import_numpy_ma(cli_env):
 # ---------------------------------------------------------------------------
 
 # sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, under
-# riskhull-manifest-v8: replication r at counter offset r of the run's seed,
+# riskhull-manifest-v9: replication r at counter offset r of the run's seed,
 # as the reference loop above draws it, for every amplitude of an efficiency
 # run, the oracle curve's cumulative sums, and the hull of riskhull-hull-v3
 # (the float32 Box-Muller draw from SFC64 words); any change to a random stream, the selection, the
-# loss or the oracle risk arithmetic moves them.
+# loss or the oracle risk arithmetic moves them.  v9 squares sigma_1 and the
+# mean of std_error as products, not with pow; at this config (epsilon 0.5, a
+# power of two) no byte moved from v8.
 GOLDEN_CONFIG = {
     "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
     "experiment": {"n_max": 60, "reps": 300, "seed": 4, "a_grid": [0.5, 5.0, 50.0]},

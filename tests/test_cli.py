@@ -479,7 +479,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v8"
+    assert manifest["format"] == "riskhull-manifest-v9"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}

@@ -355,6 +355,15 @@ def test_u0_epsilon_commutes_exactly():
         assert compute_u0(spec, 8, MC_SMALL) == (eps * 1.0) ** 2 * unit_val
 
 
+def test_hull_table_for_scales_by_sigma_1_times_sigma_1():
+    # glibc's pow, which a float's ** calls, rounds this eps**2 away from eps * eps
+    eps = float.fromhex("0x1.0b99663f450d4p+3")
+    spec = SigmaSpec.power_law(eps, 1.0)
+    unit = build_hull_table(unit_spec(spec), 12, MC_SMALL)
+    assert np.count_nonzero(unit.U0) > 5
+    assert np.array_equal(hull_table_for(unit, spec).U0, (eps * eps) * unit.U0)
+
+
 @given(j=st.integers(-2, 3))
 def test_u0_quadratic_scaling_exact_power_of_two(j):
     c = 2.0**j
