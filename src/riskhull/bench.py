@@ -60,6 +60,7 @@ from .sequence_model import (
     derive_seed,  # noqa: F401
     normal_rows,
     sigma_at,
+    sigma_sums,
     sigma_values,
     signal_family,
     simulate,  # noqa: F401
@@ -123,7 +124,7 @@ def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[S
     shaped (signals, selectors, rows).
     """
     sig = sigma_values(spec, n_max)
-    sig2 = sig[:max((sel.N_max for sel in selectors), default=0)] ** 2
+    sig2 = sigma_sums(spec, n_max)[0][:max((sel.N_max for sel in selectors), default=0)]
     noise = sig * normal_rows(seed, rows.start, n_max, np.empty((len(rows), n_max)))
     shape = (len(signals), len(selectors), len(rows))
     picked, losses = np.empty(shape, dtype=np.int64), np.empty(shape)

@@ -83,7 +83,7 @@ from .sequence_model import (
     fingerprint,
     max_index,
     sigma_at,
-    sigma_values,
+    sigma_sums,
     signal_family,
     unit_spec,
 )
@@ -158,9 +158,7 @@ class RunConfig:
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
         # every run squares sigma_k of the spectrum or of its unit shape (sigma_1 = 1)
-        with np.errstate(over="ignore"):
-            finite = np.logical_and(*[np.isfinite(sigma_values(s, self.n_max) ** 2)
-                                      for s in (self.spec, unit_spec(self.spec))])
+        finite = np.logical_and(*[np.isfinite(sigma_sums(s, self.n_max)[0]) for s in (self.spec, unit_spec(self.spec))])
         if not finite.all():
             raise ConfigError(f"problem: sigma_k^2 overflows float64 at k = {finite.argmin() + 1}, within "
                               f"experiment.n_max = {self.n_max}; lower experiment.n_max or flatten the spectrum")
@@ -248,6 +246,15 @@ def hull_read_through(cfg: RunConfig, spec: SigmaSpec) -> tuple[HullTable, str, 
     --rebuild to overwrite).
     """
     uspec = unit_spec(spec)
+    for s, what in ((spec, "sigma_k^4"), (uspec, "(sigma_k/sigma_1)^4")):  # HullTable's SigmaFourth invariant
+        sig2, _, s4 = sigma_sums(s, cfg.n_max)
+        bad = np.flatnonzero(~(np.isfinite(s4) & (s4 > np.append(0.0, s4[:-1]))))
+        if bad.size:
+            k = bad[0]
+            why = ("overflows float64" if not np.isfinite(s4[k]) else "underflows to 0" if sig2[k] * sig2[k] == 0
+                   else "is lost to rounding in the running sum")
+            raise ConfigError(f"problem: {what} {why} at k = {k + 1}, so no hull table can be made for "
+                              f"experiment.n_max = {cfg.n_max}; change the spectrum or experiment.n_max")
     key = (fingerprint(uspec), cfg.n_max, cfg.mc.samples, cfg.mc.seed, cfg.mc.monotonize)
     # the format tag joins the default file's key, so no run reads a table of another stream there
     digest = hashlib.sha256("|".join(map(str, (_HULL_FORMAT, *key))).encode()).hexdigest()[:16]
@@ -298,7 +305,7 @@ def _envelope_crossing(table: HullTable, spec: SigmaSpec) -> int:
 def _write_manifest(cfg: RunConfig, command: str, outputs: list[str], summary: dict,
                     table: HullTable | None, **extra) -> None:
     write_manifest({
-        "format": "riskhull-manifest-v9",
+        "format": "riskhull-manifest-v10",
         "command": command,
         "config": cfg.echo,
         "hull_fingerprint": None if table is None else table.spec_fingerprint,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checks import freeze
 from .hull import HullTable, check_hull_spec, rhm_penalty
-from .sequence_model import Observation, SigmaSpec, Signal, sigma_values, unit_spec
+from .sequence_model import Observation, SigmaSpec, Signal, sigma_sums, unit_spec
 
 __all__ = [
     "RiskCurve",
@@ -72,7 +72,7 @@ def _risk_values(signal: Signal, spec: SigmaSpec, N_max: int) -> np.ndarray:
     """
     theta2 = signal.padded(max(N_max, len(signal))) ** 2
     tail = np.cumsum(theta2[::-1])[::-1]  # tail[N] = sum_{k>N} theta_k^2
-    return np.append(tail[1:], 0.0)[:N_max] + np.cumsum(sigma_values(spec, N_max) ** 2)
+    return np.append(tail[1:], 0.0)[:N_max] + sigma_sums(spec, N_max)[1]
 
 
 def projection_risk(signal: Signal, spec: SigmaSpec, N: int) -> float:
@@ -116,8 +116,6 @@ def ure_threshold(spec: SigmaSpec, N_max: int) -> int | None:
     noise level by construction (for beta = 0 the N = 8 boundary is an
     exact equality, which plain eps-scaled arithmetic would spoil).
     """
-    sig2 = sigma_values(unit_spec(spec), N_max) ** 2
-    lhs = np.cumsum(sig2)
-    rhs = 2.0 * np.sqrt(2.0 * np.cumsum(sig2**2))
-    hits = np.nonzero(lhs >= rhs)[0]
+    _, lhs, s4 = sigma_sums(unit_spec(spec), N_max)
+    hits = np.nonzero(lhs >= 2.0 * np.sqrt(2.0 * s4))[0]
     return int(hits[0]) + 1 if hits.size else None

@@ -60,7 +60,7 @@ from .sequence_model import (
     fingerprint,
     rng_for,  # not called here: the benchmark's tracer (perfbench/spans.py) wraps this name
     sigma_at,
-    sigma_values,
+    sigma_sums,
     spec_from_dict,
     spec_to_dict,
     unit_spec,
@@ -159,11 +159,6 @@ class HullTable:
 # ---------------------------------------------------------------------------
 
 
-def _norm_weights(spec: SigmaSpec, N: int) -> np.ndarray:
-    """(sigma_i / sigma_1)^2 for i = 1..N."""
-    return sigma_values(unit_spec(spec), N) ** 2
-
-
 def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
     """Yield the rows of block ``block`` of the (N_max, samples) float32 normalized eta path matrix.
 
@@ -196,12 +191,12 @@ def _block_rows(spec: SigmaSpec, N_max: int, mc: McParams, block: int):
     the draw truncates chi-square(2) there, which it passes with
     probability 9e-13 per pair.
     """
-    w = _norm_weights(spec, N_max)
+    w, total, _ = sigma_sums(unit_spec(spec), N_max)  # the weights (sigma_i/sigma_1)^2
     limit = float(np.finfo(np.float32).max) / 100  # entries <= sum(w) * 55.45, the largest xi^2
-    if not w.sum() <= limit:
+    if not total[-1] <= limit:
         shape = "this explicit sigma table" if spec.beta is None else f"beta = {spec.beta}"
         raise ValueError(f"the spectrum with {shape} is too steep for N_max = {N_max}: its weights "
-                         f"(sigma_i/sigma_1)^2 sum to {w.sum():.3g}, past the {limit:.3g} its float32 paths allow")
+                         f"(sigma_i/sigma_1)^2 sum to {total[-1]:.3g}, past the {limit:.3g} its float32 paths allow")
     w2 = w.astype(np.float32) * np.float32(-2.0)  # each weight times Box-Muller's -2
     n = min(_SAMPLE_BLOCK, mc.samples - block * _SAMPLE_BLOCK)
     raw = np.random.SFC64(np.random.SeedSequence(mc.seed, spawn_key=(block,))).random_raw
@@ -403,8 +398,7 @@ def eta_paths_from_noise(spec: SigmaSpec, xi: np.ndarray) -> np.ndarray:
     if xi.ndim != 2 or xi.shape[1] < 1:
         raise ValueError(f"xi must be a (samples, N) matrix, got shape {xi.shape}")
     n = xi.shape[1]
-    w = _norm_weights(spec, n)[None, :]
-    return np.square(sigma_at(spec, 1)) * np.cumsum(w * (xi**2 - 1.0), axis=1)
+    return np.square(sigma_at(spec, 1)) * np.cumsum(sigma_sums(unit_spec(spec), n)[0] * (xi**2 - 1.0), axis=1)
 
 
 def sample_eta_paths(spec: SigmaSpec, N_max: int, mc: McParams) -> np.ndarray:
@@ -500,7 +494,7 @@ def build_hull_table(spec: SigmaSpec, N_max: int, mc: McParams, threads: int = 1
     unit = HullTable(
         N_max=N_max,
         U0=u0_norm,
-        SigmaFourth=np.cumsum(sigma_values(uspec, N_max) ** 4),
+        SigmaFourth=sigma_sums(uspec, N_max)[2],
         spec_fingerprint=fingerprint(uspec),
         mc_samples=mc.samples,
         seed=mc.seed,
@@ -521,7 +515,7 @@ def hull_table_for(unit: HullTable, spec: SigmaSpec) -> HullTable:
     return dataclasses.replace(
         unit,
         U0=np.square(sigma_at(spec, 1)) * unit.U0,
-        SigmaFourth=np.cumsum(sigma_values(spec, unit.N_max) ** 4),
+        SigmaFourth=sigma_sums(spec, unit.N_max)[2],
         spec_fingerprint=fingerprint(spec),
     )
 
@@ -537,10 +531,6 @@ def check_hull_spec(hull: HullTable, spec: SigmaSpec, what: str = "the spec") ->
 # ---------------------------------------------------------------------------
 
 
-def _sigma_fourth_sum(spec: SigmaSpec, N: int) -> float:
-    return float(np.sum(sigma_values(spec, N) ** 4))
-
-
 def gaussian_u0(spec: SigmaSpec, N: int) -> float:
     """Gaussian-tail closed form sqrt(2*S_N*log(S_N/(pi*sigma_1^4))).
 
@@ -549,11 +539,9 @@ def gaussian_u0(spec: SigmaSpec, N: int) -> float:
     the true penalty at small N, where the chi-square tail is heavier
     than its Gaussian approximation.
     """
-    s_n = _sigma_fourth_sum(spec, N)
-    arg = s_n / (math.pi * float(np.square(np.square(sigma_at(spec, 1)))))
-    if arg <= 1.0:
-        return 0.0
-    return math.sqrt(2.0 * s_n * math.log(arg))
+    s_n, s_1 = map(float, sigma_sums(spec, N)[2][[-1, 0]])  # floats: an underflowed sigma_1^4 raises ZeroDivisionError
+    arg = s_n / (math.pi * s_1)
+    return math.sqrt(2.0 * s_n * math.log(arg)) if arg > 1.0 else 0.0
 
 
 def u1(spec: SigmaSpec, N: int) -> float:
@@ -562,10 +550,9 @@ def u1(spec: SigmaSpec, N: int) -> float:
     Compares against u0(N) = U0(N)/sqrt(2*S_N); for all large enough N
     the normalized penalty stays above this envelope.
     """
-    arg = _sigma_fourth_sum(spec, N) / (2.0 * math.pi * float(np.square(np.square(sigma_at(spec, 1)))))
-    if arg <= 1.0:
-        return 0.0
-    return math.sqrt(math.log(arg))
+    s_n, s_1 = map(float, sigma_sums(spec, N)[2][[-1, 0]])
+    arg = s_n / (2.0 * math.pi * s_1)
+    return math.sqrt(math.log(arg)) if arg > 1.0 else 0.0
 
 
 def rhm_penalty(hull: HullTable, alpha: float, N_max: int) -> np.ndarray:
@@ -584,10 +571,8 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
     """
     pen = rhm_penalty(hull, alpha, N)
     check_hull_spec(hull, spec)
-    denom = float(np.sum(sigma_values(spec, N) ** 2))
-    rho = 1.0 + float(pen[-1]) / denom
-    rho_tilde = 1.0 + (1.0 + alpha) * gaussian_u0(spec, N) / denom
-    return rho, rho_tilde
+    denom = float(sigma_sums(spec, N)[1][-1])
+    return 1.0 + float(pen[-1]) / denom, 1.0 + (1.0 + alpha) * gaussian_u0(spec, N) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +582,7 @@ def penalty_ratio(spec: SigmaSpec, hull: HullTable, alpha: float, N: int) -> tup
 # v3 is the float32 Box-Muller draw of _block_rows from SFC64 words.  A v2
 # table holds the float64-log draw from Philox words, and a v1 table numpy's
 # normal ziggurat on those Philox streams, so both are refused by their tags.
+# SigmaFourth is formed anew from the spec on every load, so v3 stays v3.
 _HULL_FORMAT = "riskhull-hull-v3"
 
 # The hull document: each field and the check of its JSON type.  Every

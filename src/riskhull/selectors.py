@@ -25,7 +25,7 @@ import numpy as np
 
 from .checks import freeze
 from .hull import HullTable, check_hull_spec, rhm_penalty
-from .sequence_model import Observation, SigmaSpec, sigma_values
+from .sequence_model import Observation, SigmaSpec, sigma_sums, sigma_values
 
 __all__ = [
     "SelectorResult",
@@ -97,12 +97,12 @@ class Selector:
     def select_rows(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
         """:meth:`pick` of every row of ``Y``, observations of ``spec``."""
         self.check(spec, Y.shape[1])
-        return self.pick(ure_energy(Y[:, :self.N_max], sigma_values(spec, self.N_max) ** 2))
+        return self.pick(ure_energy(Y[:, :self.N_max], sigma_sums(spec, self.N_max)[0]))
 
     def __call__(self, obs: Observation) -> SelectorResult:
         """The rule on one observation: :meth:`pick`'s choice and the objective, energy plus ``pen``."""
         self.check(obs.sigma, obs.n_max)
-        energy = ure_energy(obs.ys[None, :self.N_max], sigma_values(obs.sigma, self.N_max) ** 2)
+        energy = ure_energy(obs.ys[None, :self.N_max], sigma_sums(obs.sigma, self.N_max)[0])
         return SelectorResult(N_selected=int(self.pick(energy)[0]), objective_values=energy[0] + self.pen,
                               method=self.method)
 
@@ -158,5 +158,5 @@ def select_rhm(obs: Observation, hull: HullTable, alpha: float, N_max: int) -> S
 def select_penalized(obs: Observation, pen: Callable[[int], float], N_max: int) -> SelectorResult:
     """Minimize :func:`penalized_objective`: the URE kernel with sum_{k<=N} sigma_k^2 taken off pen(N)."""
     extra = np.fromiter(map(pen, range(1, N_max + 1)), dtype=np.float64, count=N_max)
-    extra -= np.cumsum(sigma_values(obs.sigma, N_max) ** 2)
+    extra -= sigma_sums(obs.sigma, N_max)[1]
     return Selector("custom-penalty", N_max, extra)(obs)

@@ -205,6 +205,14 @@ def sigma_values(spec: SigmaSpec, n: int) -> np.ndarray:
     return np.asarray(spec.values[:n], dtype=np.float64)
 
 
+def sigma_sums(spec: SigmaSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_k^2 and the running sums of sigma_k^2 and sigma_k^4, k = 1..n: the one place they are formed, as
+    products and cumulative sums (never numpy's CPU-dispatched ``**``).  A value past float64 reads inf."""
+    with np.errstate(over="ignore"):
+        sig2 = np.square(sigma_values(spec, n))
+        return sig2, np.cumsum(sig2), np.cumsum(sig2 * sig2)
+
+
 def unit_spec(spec: SigmaSpec) -> SigmaSpec:
     """The same spectrum rescaled so that sigma_1 = 1.
 

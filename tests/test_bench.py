@@ -454,13 +454,15 @@ def test_engine_does_not_import_numpy_ma(cli_env):
 # ---------------------------------------------------------------------------
 
 # sha256 of the CSVs that `riskhull bench` writes for GOLDEN_CONFIG, under
-# riskhull-manifest-v9: replication r at counter offset r of the run's seed,
+# riskhull-manifest-v10: replication r at counter offset r of the run's seed,
 # as the reference loop above draws it, for every amplitude of an efficiency
 # run, the oracle curve's cumulative sums, and the hull of riskhull-hull-v3
 # (the float32 Box-Muller draw from SFC64 words); any change to a random stream, the selection, the
 # loss or the oracle risk arithmetic moves them.  v9 squares sigma_1 and the
 # mean of std_error as products, not with pow; at this config (epsilon 0.5, a
-# power of two) no byte moved from v8.
+# power of two) no byte moved from v8.  v10 forms sigma_k^2, sigma_k^4 and
+# their running sums in one place (sequence_model.sigma_sums); it moves ratio
+# bytes only, so no digest here moved from v9.
 GOLDEN_CONFIG = {
     "problem": {"kind": "power-law", "epsilon": 0.5, "beta": 1.0},
     "experiment": {"n_max": 60, "reps": 300, "seed": 4, "a_grid": [0.5, 5.0, 50.0]},

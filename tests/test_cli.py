@@ -479,7 +479,7 @@ def test_bench_stem_outputs_and_manifest(tmp_path, run_cli):
     assert stem[0] == "rep,N_selected,normalized_loss"
     assert len(stem) == 151
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["format"] == "riskhull-manifest-v9"
+    assert manifest["format"] == "riskhull-manifest-v10"
     assert manifest["config"]["selector"] == {"methods": ["ure"], "alpha": 1.1}
     assert manifest["command"] == "bench"
     assert manifest["config"]["output"] == {"directory": "out"}
@@ -673,6 +673,42 @@ def test_overflowing_spectrum_exits_2_naming_problem_and_n_max(tmp_path, run_cli
     assert res.stderr == (f"error: problem: sigma_k^2 overflows float64 at k = {k}, within experiment.n_max = 20; "
                           "lower experiment.n_max or flatten the spectrum\n")
     assert sorted(os.listdir(tmp_path)) == sorted(["c.json", *map(os.path.basename, data)])
+
+
+# the running sums of sigma_k^4 a hull table holds must be finite, positive and strictly increasing;
+# at epsilon 1e-90, sigma_1^4 = 1e-360 underflows, and 1 + 1e-40 rounds to 1
+TINY = {"kind": "power-law", "epsilon": 1e-90, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command,problem,experiment,why", [
+    ("hull", TINY, {"n_max": 10}, "sigma_k^4 underflows to 0 at k = 1"),
+    ("bench", TINY, {"kind": "ratio", "n_max": 10}, "sigma_k^4 underflows to 0 at k = 1"),
+    ("bench", {"kind": "explicit", "values": [1.0, 1e-10, 2.0]}, {"kind": "stem", "reps": 10},
+     "sigma_k^4 is lost to rounding in the running sum at k = 2"),
+    ("bench", {"kind": "explicit", "values": [1e-80, 1.0]}, {"kind": "stem", "reps": 10},
+     "(sigma_k/sigma_1)^4 overflows float64 at k = 2"),
+], ids=["hull-underflow", "ratio-underflow", "stem-lost-term", "stem-unit-shape-overflow"])
+def test_spectrum_without_a_sigma_fourth_sum_exits_2_before_any_hull(tmp_path, monkeypatch, capsys, command,
+                                                                     problem, experiment, why):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", {"problem": problem, "experiment": experiment,
+                                             "selector": {"methods": ["rhm"]}, "hull": {"samples": 10_000}})
+    assert riskhull.cli.main([command, "--config", cfg]) == 2
+    n_max = experiment.get("n_max", len(problem.get("values", ())))
+    assert capsys.readouterr().err == (f"error: problem: {why}, so no hull table can be made for "
+                                       f"experiment.n_max = {n_max}; change the spectrum or experiment.n_max\n")
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("experiment,methods", [
+    ({"kind": "efficiency", "reps": 20, "a_grid": [0.5, 5.0]}, ["ure", "rhm"]),  # at unit noise level
+    ({"kind": "stem", "reps": 20}, ["ure"]),  # no hull
+], ids=["efficiency", "ure-stem"])
+def test_tiny_noise_level_runs_that_need_no_sigma_fourth_sum_exit_0(tmp_path, monkeypatch, experiment, methods):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", {"problem": TINY, "experiment": dict(experiment, n_max=10),
+                                             "selector": {"methods": methods}, "hull": {"samples": 10_000}})
+    assert riskhull.cli.main(["bench", "--config", cfg]) == 0
 
 
 def test_cli_import_loads_no_pool_module(cli_env):

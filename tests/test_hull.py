@@ -19,6 +19,7 @@ from riskhull import (
     HullTable,
     McParams,
     SigmaSpec,
+    ZERO_SIGNAL,
     build_hull_table,
     compute_u0,
     eta_checkpoint_samples,
@@ -28,6 +29,8 @@ from riskhull import (
     gaussian_u0,
     load_hull_table,
     penalty_ratio,
+    projection_risk,
+    rhm_penalty,
     sample_eta_paths,
     save_hull_table,
     sigma_values,
@@ -554,7 +557,7 @@ def test_hull_table_is_the_rescaled_unit_table(monotonize, threads):
         want = np.maximum.accumulate(raw) if monotonize else raw
         for table in (build_hull_table(spec, 10, mc, threads=threads), hull_table_for(unit, spec)):
             assert np.array_equal(table.U0, want), spec
-            assert np.array_equal(table.SigmaFourth, np.cumsum(sigma_values(spec, 10) ** 4))
+            assert np.array_equal(table.SigmaFourth, np.cumsum(np.square(np.square(sigma_values(spec, 10)))))
             assert table.spec_fingerprint == fingerprint(spec)
             assert (table.mc_samples, table.seed, table.monotonized) == (10_000, 5, monotonize)
             assert table.saturated == unit.saturated
@@ -630,6 +633,28 @@ def test_penalty_ratio_is_one_at_bandwidth_one():
     rho, rho_tilde = penalty_ratio(B1, table, 0.1, 1)
     assert rho == 1.0
     assert rho_tilde == 1.0  # gaussian clamp at N = 1
+
+
+def test_penalty_ratio_divides_by_the_projection_risk_of_zero_signal():
+    # one running sum of sigma_k^2: at epsilon 0.7 a per-N np.sum differs from it at 106 of these N
+    spec = SigmaSpec.power_law(0.7, 1.0)
+    table = build_hull_table(spec, 200, MC_SMALL)
+    pen = rhm_penalty(table, 1.1, 200)
+    for N in range(1, 201):
+        assert penalty_ratio(spec, table, 1.1, N)[0] == 1.0 + pen[N - 1] / projection_risk(ZERO_SIGNAL, spec, N), N
+
+
+def test_closed_forms_read_the_table_sigma_fourth():
+    # gaussian_u0 and u1 take S_N and sigma_1^4 from the running sum the table
+    # holds, which the envelope check divides U0 by; at beta 2 a per-N np.sum
+    # differs from it at 39 of these N
+    table = build_hull_table(B2, 200, MC_SMALL)
+    s_1 = float(table.SigmaFourth[0])
+    for N in range(1, 201):
+        s_n = float(table.SigmaFourth[N - 1])
+        arg, arg1 = s_n / (math.pi * s_1), s_n / (2.0 * math.pi * s_1)
+        assert gaussian_u0(B2, N) == (math.sqrt(2.0 * s_n * math.log(arg)) if arg > 1.0 else 0.0), N
+        assert u1(B2, N) == (math.sqrt(math.log(arg1)) if arg1 > 1.0 else 0.0), N
 
 
 # ---------------------------------------------------------------------------
