@@ -124,7 +124,7 @@ def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[S
     shaped (signals, selectors, rows).
     """
     sig = sigma_values(spec, n_max)
-    sig2 = sigma_sums(spec, n_max)[0][:max((sel.N_max for sel in selectors), default=0)]
+    sig2_sums = sigma_sums(spec, n_max)[1][:max((sel.N_max for sel in selectors), default=0)]
     noise = sig * normal_rows(seed, rows.start, n_max, np.empty((len(rows), n_max)))
     shape = (len(signals), len(selectors), len(rows))
     picked, losses = np.empty(shape, dtype=np.int64), np.empty(shape)
@@ -139,7 +139,7 @@ def _replicate(spec: SigmaSpec, signals: Sequence[Signal], selectors: Sequence[S
         # (estimate minus truth)**2: (y - theta)**2 up to N, theta**2 past it
         resid2 = np.zeros((len(rows), width))
         resid2[:, :n_max] = (Y - kept) ** 2
-        energy = ure_energy(Y[:, :sig2.size], sig2)
+        energy = ure_energy(Y[:, :sig2_sums.size], sig2_sums)
         for sel, N, loss in zip(selectors, picked_by, losses_by):
             N[:] = sel.pick(energy)
             sq = np.where(np.arange(width) < N[:, None], resid2, theta**2)

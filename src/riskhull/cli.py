@@ -157,10 +157,13 @@ class RunConfig:
         bound = max_index(self.spec)
         if bound is not None and self.n_max > bound:
             raise ConfigError(f"experiment.n_max: {self.n_max} exceeds explicit sigma table length {bound}")
-        # every run squares sigma_k of the spectrum or of its unit shape (sigma_1 = 1)
-        finite = np.logical_and(*[np.isfinite(sigma_sums(s, self.n_max)[0]) for s in (self.spec, unit_spec(self.spec))])
-        if not finite.all():
-            raise ConfigError(f"problem: sigma_k^2 overflows float64 at k = {finite.argmin() + 1}, within "
+        with np.errstate(over="ignore"):  # the URE kernel doubles the running sum of sigma_k^2
+            (sig2, sums, _), (usig2, usums, _) = (sigma_sums(s, self.n_max) for s in (self.spec, unit_spec(self.spec)))
+            bad = np.flatnonzero(~np.isfinite(2.0 * np.maximum(sums, usums)))
+        if bad.size:
+            k = bad[0]
+            what = "sigma_k^2" if np.isinf(max(sig2[k], usig2[k])) else "2 * sum_{j<=k} sigma_j^2"
+            raise ConfigError(f"problem: {what} overflows float64 at k = {k + 1}, within "
                               f"experiment.n_max = {self.n_max}; lower experiment.n_max or flatten the spectrum")
         self.reps = read("reps", pos_int, default=STEM_REPS if self.kind == "stem" else DEFAULT_REPS)
         if self.kind == "efficiency" and self.reps < 2:

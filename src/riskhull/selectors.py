@@ -5,10 +5,10 @@ N = 1..N_max, -sum_{k<=N} y_k^2 + 2 * sum_{k<=N} sigma_k^2 + pen(N).
 URE has pen = 0, RHM pen = (1 + alpha) * U0 (:func:`riskhull.hull.rhm_penalty`),
 a fixed bandwidth N pen = 0 at N and +inf elsewhere.  Ties break to the
 smallest bandwidth.  One kernel, :func:`ure_energy`, evaluates the
-penalty-free part of every row of a matrix of observations in one
-cumulative pass; one observation is the one-row case.  Its prefixes are
-exact, so one energy matrix over the largest N_max serves every rule
-(:meth:`Selector.pick`), as the replication engine uses it.
+penalty-free part, twice the running sum of sigma_k^2 less that of y_k^2,
+of every row of a matrix of observations; one observation is the one-row
+case.  Its prefixes are exact, so one energy matrix over the largest N_max
+serves every rule (:meth:`Selector.pick`), as the replication engine uses it.
 
 A note on alpha: the risk bound behind RHM asks for alpha > 1, and the
 benchmark default is 1.1.  Any finite alpha >= 0 is accepted here; alpha = 0
@@ -94,28 +94,23 @@ class Selector:
         """
         return np.argmin(energy[:, :self.N_max] + self.pen, axis=1) + 1
 
-    def select_rows(self, Y: np.ndarray, spec: SigmaSpec) -> np.ndarray:
-        """:meth:`pick` of every row of ``Y``, observations of ``spec``."""
-        self.check(spec, Y.shape[1])
-        return self.pick(ure_energy(Y[:, :self.N_max], sigma_sums(spec, self.N_max)[0]))
-
     def __call__(self, obs: Observation) -> SelectorResult:
         """The rule on one observation: :meth:`pick`'s choice and the objective, energy plus ``pen``."""
         self.check(obs.sigma, obs.n_max)
-        energy = ure_energy(obs.ys[None, :self.N_max], sigma_sums(obs.sigma, self.N_max)[0])
+        energy = ure_energy(obs.ys[None, :self.N_max], sigma_sums(obs.sigma, self.N_max)[1])
         return SelectorResult(N_selected=int(self.pick(energy)[0]), objective_values=energy[0] + self.pen,
                               method=self.method)
 
 
-def ure_energy(Y: np.ndarray, sig2: np.ndarray) -> np.ndarray:
-    """The URE objective without a penalty, 2*cumsum(sigma^2) - cumsum(y^2), of every row of Y.
+def ure_energy(Y: np.ndarray, sig2_sums: np.ndarray) -> np.ndarray:
+    """The URE objective without a penalty, 2*sum_{k<=N} sigma_k^2 - sum_{k<=N} y_k^2, of every row of Y.
 
-    ``sig2`` holds sigma_k^2 of Y's columns.  Both sums are cumulative, so
-    the first N columns of the result do not depend on later columns.
+    ``sig2_sums`` holds the running sums of sigma_k^2 over Y's columns, ``sigma_sums(spec, n)[1]``.
+    Both sums are cumulative, so the first N columns of the result do not depend on later columns.
     """
     obj = np.cumsum(Y * Y, axis=1)
-    # 2*cumsum(sig2) - c rounds exactly like -c + 2*cumsum(sig2)
-    np.subtract(2.0 * np.cumsum(sig2), obj, out=obj)
+    # 2*s - c rounds exactly like -c + 2*s
+    np.subtract(2.0 * sig2_sums, obj, out=obj)
     return obj
 
 

@@ -9,9 +9,10 @@ noise is amplified at frequency k; a polynomially growing spectrum
 ``sigma_k = epsilon * k**beta`` is the moderately ill-posed case, beta = 0
 being direct estimation.
 
-All random draws go through counter-based Philox streams keyed by
-(seed, stream indices), so any experiment built on top of this module is
-bit-reproducible regardless of how work is scheduled across workers.
+The draws of this module go through counter-based Philox streams keyed
+by (seed, stream indices), so any experiment built on top of it is
+bit-reproducible regardless of how work is scheduled across workers (the
+hull build draws its own SFC64 streams, one per block; see ``riskhull.hull``).
 
 The replications of a run seeded s share one key, the one of
 ``rng_for(s)``, and differ in the counter: replication r starts at the
@@ -189,11 +190,8 @@ def _check_index(spec: SigmaSpec, n: int) -> None:
 
 
 def sigma_at(spec: SigmaSpec, k: int) -> float:
-    """sigma_k for a single index k >= 1."""
-    _check_index(spec, k)
-    if spec.kind == POWER_LAW:
-        return float(spec.epsilon * float(k) ** spec.beta)
-    return spec.values[k - 1]
+    """sigma_k for a single index k >= 1: the last entry of :func:`sigma_values`, the one formula for sigma_k."""
+    return float(sigma_values(spec, k)[-1])
 
 
 def sigma_values(spec: SigmaSpec, n: int) -> np.ndarray:

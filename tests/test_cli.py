@@ -675,6 +675,20 @@ def test_overflowing_spectrum_exits_2_naming_problem_and_n_max(tmp_path, run_cli
     assert sorted(os.listdir(tmp_path)) == sorted(["c.json", *map(os.path.basename, data)])
 
 
+def test_overflowing_running_sum_of_sigma_squared_exits_2(tmp_path, run_cli):
+    # sigma_k^2 = 8.1e307 is finite, but the URE kernel's 2 * (sigma_1^2 + sigma_2^2) is not
+    cfg = write_config(tmp_path / "c.json", {
+        "problem": {"kind": "explicit", "values": [9e153, 9e153, 9e153]},
+        "experiment": {"kind": "stem", "reps": 5, "a": 1.0},
+        "selector": {"methods": ["ure"]},
+    })
+    res = run_cli("bench", "--config", cfg, cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == ("error: problem: 2 * sum_{j<=k} sigma_j^2 overflows float64 at k = 2, within "
+                          "experiment.n_max = 3; lower experiment.n_max or flatten the spectrum\n")
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 # the running sums of sigma_k^4 a hull table holds must be finite, positive and strictly increasing;
 # at epsilon 1e-90, sigma_1^4 = 1e-360 underflows, and 1 + 1e-40 rounds to 1
 TINY = {"kind": "power-law", "epsilon": 1e-90, "beta": 1.0}

@@ -31,7 +31,9 @@ from riskhull import (
     select_ure,
     sigma_values,
     simulate,
+    ure_energy,
 )
+from riskhull.sequence_model import sigma_sums
 
 FLAT = SigmaSpec.power_law(1.0, 0.0)
 
@@ -251,7 +253,7 @@ def test_fixed_selector():
     sel = fixed_selector(2)
     assert sel(obs).N_selected == 2
     Y = 10.0 * np.random.default_rng(0).standard_normal((7, 4))
-    assert fixed_selector(3).select_rows(Y, FLAT).tolist() == [3] * 7
+    assert fixed_selector(3).pick(ure_energy(Y[:, :3], sigma_sums(FLAT, 3)[1])).tolist() == [3] * 7
     with pytest.raises(ValueError, match="pen must hold"):
         Selector("custom-penalty", 3, np.zeros(1))  # would broadcast as a constant
     with pytest.raises(ValueError, match="NaN"):  # argmin would pick it
